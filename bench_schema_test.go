@@ -1,132 +1,85 @@
 package pardict
 
 import (
-	"encoding/json"
-	"os"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"pardict/internal/benchrow"
 )
 
 // TestBenchSchemaGomaxprocs lints every checked-in BENCH_*.json against the
-// repo-wide schema convention: GOMAXPROCS is recorded per measurement row —
-// an integer "gomaxprocs" ≥ 1 on every object in the "points"/"levels"
-// arrays — and never as a top-level report field. The convention exists so
-// sweeps that vary GOMAXPROCS (E16, E18) and sweeps that hold it fixed
-// (E13–E15, dictload) serialize identically and downstream tooling never has
-// to special-case where the value lives.
+// repo-wide schema convention: every file reads back through benchrow, so
+// GOMAXPROCS is an integer "gomaxprocs" ≥ 1 on every row and the strict
+// reader rejects it as a top-level field; nor may it hide in the file-level
+// "config". Sweeps that vary GOMAXPROCS (E16, E18) and sweeps that hold it
+// fixed (E13–E15, dictload) thus serialize identically, and downstream
+// tooling never has to special-case where the value lives.
 func TestBenchSchemaGomaxprocs(t *testing.T) {
-	files, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		t.Fatal(err)
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json files found (%v)", err)
 	}
-	if len(files) == 0 {
-		t.Skip("no BENCH_*.json files checked in")
-	}
-	for _, path := range files {
-		raw, err := os.ReadFile(path)
+	for _, path := range paths {
+		f, err := benchrow.Read(path)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			t.Error(err)
+			continue
 		}
-		var doc map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatalf("%s: not a JSON object: %v", path, err)
-		}
-		if _, ok := doc["gomaxprocs"]; ok {
-			t.Errorf("%s: top-level \"gomaxprocs\" is forbidden; record it per row in points/levels", path)
-		}
-		rows := 0
-		for _, key := range []string{"points", "levels"} {
-			rawRows, ok := doc[key]
-			if !ok {
-				continue
-			}
-			var arr []map[string]json.RawMessage
-			if err := json.Unmarshal(rawRows, &arr); err != nil {
-				t.Fatalf("%s: %q is not an array of objects: %v", path, key, err)
-			}
-			for i, row := range arr {
-				rows++
-				rawG, ok := row["gomaxprocs"]
-				if !ok {
-					t.Errorf("%s: %s[%d] missing \"gomaxprocs\"", path, key, i)
-					continue
-				}
-				var g int
-				if err := json.Unmarshal(rawG, &g); err != nil {
-					t.Errorf("%s: %s[%d] \"gomaxprocs\" is not an integer: %v", path, key, i, err)
-					continue
-				}
-				if g < 1 {
-					t.Errorf("%s: %s[%d] \"gomaxprocs\" = %d, want ≥ 1", path, key, i, g)
-				}
-			}
-		}
-		if rows == 0 {
-			t.Errorf("%s: no measurement rows found under \"points\" or \"levels\"", path)
+		if _, ok := f.Config["gomaxprocs"]; ok {
+			t.Errorf("%s: \"gomaxprocs\" in config is forbidden; record it per row", path)
 		}
 	}
 }
 
 // TestBenchSchemaWritestorm lints the E20 table specifically: every row
-// must carry the axes the -stormguard gate keys on — an "arm" from the
-// fixed four-arm set, a "skew" of uniform/hotshard, and a writer count —
-// and the sweep must retain both skews plus the joined and split arms at
-// the highest writer count, so a regenerated BENCH_writestorm.json can
-// never silently drop the cells the guard ratios compare.
+// must carry the axes its guards key on — an arm from the fixed four-arm
+// set, a "skew" of uniform/hotshard and a writer count — every cell must
+// carry its oracle verdict, and the sweep must retain both skews plus the
+// joined and split arms at the highest writer count, so a regenerated
+// BENCH_writestorm.json can never silently drop the cells the guard ratios
+// compare.
 func TestBenchSchemaWritestorm(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_writestorm.json")
-	if os.IsNotExist(err) {
-		t.Skip("no BENCH_writestorm.json checked in")
-	}
+	f, err := benchrow.Read("BENCH_writestorm.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Points []struct {
-			Arm        string `json:"arm"`
-			Skew       string `json:"skew"`
-			Writers    int    `json:"writers"`
-			GOMAXPROCS int    `json:"gomaxprocs"`
-			OracleOK   *bool  `json:"oracle_ok"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_writestorm.json: %v", err)
-	}
-	if len(doc.Points) == 0 {
-		t.Fatal("BENCH_writestorm.json: no points")
-	}
-	arms := map[string]bool{
-		"sharded-joined": true, "sharded-split": true,
-		"sharded-auto": true, "dynamic-rwmutex": true,
-	}
-	maxWriters := 0
-	for _, p := range doc.Points {
-		if p.Writers > maxWriters {
-			maxWriters = p.Writers
+	arms := []string{"sharded-joined", "sharded-split", "sharded-auto", "dynamic-rwmutex"}
+	maxWriters := 0.0
+	for _, r := range f.Rows {
+		if w, _ := r.Params["writers"].(float64); w > maxWriters {
+			maxWriters = w
 		}
 	}
+	oracle := map[string]bool{} // cell → has an oracle_ok row
 	sawSkew := map[string]bool{}
 	sawMaxArm := map[string]bool{}
-	for i, p := range doc.Points {
-		if !arms[p.Arm] {
-			t.Errorf("points[%d]: arm %q not in the fixed arm set", i, p.Arm)
+	for i, r := range f.Rows {
+		if r.Experiment != "E20" {
+			t.Errorf("rows[%d]: experiment %q, want E20", i, r.Experiment)
 		}
-		if p.Skew != "uniform" && p.Skew != "hotshard" {
-			t.Errorf("points[%d]: skew %q not in {uniform, hotshard}", i, p.Skew)
+		if !slices.Contains(arms, r.Arm) {
+			t.Errorf("rows[%d]: arm %q not in the fixed arm set", i, r.Arm)
 		}
-		if p.Writers < 1 {
-			t.Errorf("points[%d]: writers %d, want ≥ 1", i, p.Writers)
+		skew, _ := r.Params["skew"].(string)
+		if skew != "uniform" && skew != "hotshard" {
+			t.Errorf("rows[%d]: skew %v not in {uniform, hotshard}", i, r.Params["skew"])
 		}
-		if p.GOMAXPROCS < 1 {
-			t.Errorf("points[%d]: gomaxprocs %d, want ≥ 1", i, p.GOMAXPROCS)
+		w, ok := r.Params["writers"].(float64)
+		if !ok || w < 1 {
+			t.Errorf("rows[%d]: writers %v, want ≥ 1", i, r.Params["writers"])
 		}
-		if p.OracleOK == nil {
-			t.Errorf("points[%d]: missing \"oracle_ok\"", i)
+		cell := fmt.Sprintf("%s %v g%d", r.Arm, r.Params, r.GOMAXPROCS)
+		oracle[cell] = oracle[cell] || r.Metric == "oracle_ok"
+		sawSkew[skew] = true
+		if w == maxWriters {
+			sawMaxArm[r.Arm+"/"+skew] = true
 		}
-		sawSkew[p.Skew] = true
-		if p.Writers == maxWriters {
-			sawMaxArm[p.Arm+"/"+p.Skew] = true
+	}
+	for cell, ok := range oracle {
+		if !ok {
+			t.Errorf("cell %s: missing \"oracle_ok\"", cell)
 		}
 	}
 	if !sawSkew["uniform"] || !sawSkew["hotshard"] {
@@ -137,54 +90,43 @@ func TestBenchSchemaWritestorm(t *testing.T) {
 		"sharded-joined/hotshard", "sharded-split/hotshard",
 	} {
 		if !sawMaxArm[cell] {
-			t.Errorf("BENCH_writestorm.json: missing %s at the highest writer count — a -stormguard ratio cell", cell)
+			t.Errorf("BENCH_writestorm.json: missing %s at the highest writer count — an E20 guard ratio cell", cell)
 		}
 	}
 }
 
 // TestBenchSchemaLZ lints the E19 table specifically: every row must carry
-// the fields the -lzguard gate keys on — a non-empty "arm" from the fixed
-// three-arm set and a "redundancy" in [0, 1] — so a regenerated BENCH_lz.json
-// can never silently drop the axes the guard compares across.
+// the axes its guards key on — an arm from the fixed three-arm set and a
+// "redundancy" in [0, 1] — and the low-hit rows at redundancy ≥ 0.9 must be
+// there, so a regenerated BENCH_lz.json can never silently drop the axes the
+// guard compares across.
 func TestBenchSchemaLZ(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_lz.json")
-	if os.IsNotExist(err) {
-		t.Skip("no BENCH_lz.json checked in")
-	}
+	f, err := benchrow.Read("BENCH_lz.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Points []struct {
-			Arm        string   `json:"arm"`
-			Redundancy *float64 `json:"redundancy"`
-			Hit        string   `json:"hit"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_lz.json: %v", err)
-	}
-	if len(doc.Points) == 0 {
-		t.Fatal("BENCH_lz.json: no points")
-	}
-	arms := map[string]bool{"raw": true, "decompress": true, "compressed": true}
+	arms := []string{"raw", "decompress", "compressed"}
 	sawHighRed := false
-	for i, p := range doc.Points {
-		if !arms[p.Arm] {
-			t.Errorf("points[%d]: arm %q not in {raw, decompress, compressed}", i, p.Arm)
+	for i, r := range f.Rows {
+		if r.Experiment != "E19" {
+			t.Errorf("rows[%d]: experiment %q, want E19", i, r.Experiment)
 		}
-		if p.Redundancy == nil {
-			t.Errorf("points[%d]: missing \"redundancy\"", i)
+		if !slices.Contains(arms, r.Arm) {
+			t.Errorf("rows[%d]: arm %q not in {raw, decompress, compressed}", i, r.Arm)
+		}
+		red, ok := r.Params["redundancy"].(float64)
+		if !ok {
+			t.Errorf("rows[%d]: missing numeric \"redundancy\"", i)
 			continue
 		}
-		if *p.Redundancy < 0 || *p.Redundancy > 1 {
-			t.Errorf("points[%d]: redundancy %v outside [0, 1]", i, *p.Redundancy)
+		if red < 0 || red > 1 {
+			t.Errorf("rows[%d]: redundancy %v outside [0, 1]", i, red)
 		}
-		if *p.Redundancy >= 0.9 && p.Hit == "low" {
+		if red >= 0.9 && r.Params["hit"] == "low" {
 			sawHighRed = true
 		}
 	}
 	if !sawHighRed {
-		t.Error("BENCH_lz.json: no redundancy ≥ 0.9 low-hit rows — the -lzguard acceptance cell is missing")
+		t.Error("BENCH_lz.json: no redundancy ≥ 0.9 low-hit rows — the E19 guard's acceptance cell is missing")
 	}
 }

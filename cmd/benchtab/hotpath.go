@@ -1,53 +1,14 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
+	"pardict/internal/benchrow"
 	"pardict/internal/core"
 )
-
-var hotOut = flag.String("hotout", "BENCH_hotpath.json",
-	"where E15 writes its hot-path comparison (empty = don't write)")
-var hotGuard = flag.Bool("hotguard", false,
-	"E15 regression guard: compare against the checked-in -hotout file and exit "+
-		"nonzero if the frozen-vs-map ratio regresses >20% or the low-hit-rate "+
-		"frozen+prefilter speedup over the map baseline drops below 2x")
-
-// hotPoint is one (table, prefilter, hit-rate) cell of the E15 sweep.
-// GOMAXPROCS is per-row — the BENCH_*.json schema convention (enforced by
-// bench_schema_test.go) so sweeps that vary it and sweeps that don't read
-// uniformly.
-type hotPoint struct {
-	Table      string  `json:"table"` // "frozen" (flat open-addressed) or "map" (Go map baseline)
-	Prefilter  bool    `json:"prefilter"`
-	HitRate    float64 `json:"hit_rate"` // planted occurrences per text byte
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	N          int     `json:"n"`
-	NsPerByte  float64 `json:"ns_per_byte"`
-	MBPerSec   float64 `json:"mb_per_s"`
-}
-
-type hotReport struct {
-	NumCPU int        `json:"num_cpu"`
-	Quick  bool       `json:"quick"`
-	Points []hotPoint `json:"points"`
-}
-
-func (r *hotReport) find(table string, pref bool, rate float64) *hotPoint {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Table == table && p.Prefilter == pref && p.HitRate == rate {
-			return p
-		}
-	}
-	return nil
-}
 
 // e15: the hot-path ablation behind the frozen scan tables and the
 // bit-parallel prefilter. Three arms run the identical shrink-and-spawn
@@ -64,7 +25,6 @@ func (r *hotReport) find(table string, pref bool, rate float64) *hotPoint {
 // identical across all arms — this table is pure execution-layer wall clock.
 func e15() {
 	header("E15", "Hot path: frozen flat tables + bit-parallel prefilter vs map lookups (ns/byte)")
-	report := hotReport{NumCPU: runtime.NumCPU(), Quick: *quick}
 
 	rng := rand.New(rand.NewSource(77))
 	patterns := make([][]int32, 64)
@@ -82,6 +42,7 @@ func e15() {
 	n := scale(1<<20, 1<<17)
 	rates := []float64{0, 0.001, 0.01, 0.1}
 	reps := 3
+	f := record("E15", map[string]any{"n": n})
 
 	fmt.Printf("%18s %10s %10s %12s %10s\n", "arm", "hit-rate", "n", "ns/byte", "MB/s")
 	for _, rate := range rates {
@@ -96,23 +57,13 @@ func e15() {
 
 		measure := func(table string, pref bool, run func()) {
 			run() // warm pools and caches
-			best := bestOf(reps, func() time.Duration {
-				t0 := time.Now()
-				run()
-				return time.Since(t0)
-			})
-			p := hotPoint{
-				Table: table, Prefilter: pref, HitRate: rate,
-				GOMAXPROCS: runtime.GOMAXPROCS(0), N: n,
-				NsPerByte: float64(best.Nanoseconds()) / float64(n),
-				MBPerSec:  float64(n) / 1e6 / best.Seconds(),
-			}
-			report.Points = append(report.Points, p)
+			m := perByte(n, bestOf(reps, run))
+			f.Add(table, benchrow.Params{"prefilter": pref, "hit_rate": rate}, runtime.GOMAXPROCS(0), reps, m)
 			name := table
 			if pref {
 				name += "+prefilter"
 			}
-			row("%18s %10.3f %10d %12.2f %10.1f", name, rate, n, p.NsPerByte, p.MBPerSec)
+			row("%18s %10.3f %10d %12.2f %10.1f", name, rate, n, m["ns_per_byte"], m["mb_per_s"])
 		}
 
 		measure("map", false, func() { d.BaselineMapMatch(text) })
@@ -126,71 +77,18 @@ func e15() {
 		r.Release()
 	}
 
-	low := rates[0]
-	mp := report.find("map", false, low)
-	fp := report.find("frozen", true, low)
-	fr := report.find("frozen", false, low)
-	speedup := mp.NsPerByte / fp.NsPerByte
+	low := func(table string, pref bool) float64 {
+		v, _ := f.Get(table, benchrow.Params{"prefilter": pref, "hit_rate": 0}, 0, "ns_per_byte")
+		return v
+	}
 	fmt.Printf("shape check: low-hit-rate speedups vs map — frozen %.2fx, frozen+prefilter %.2fx (acceptance: ≥2x)\n",
-		mp.NsPerByte/fr.NsPerByte, speedup)
-
-	if *hotGuard {
-		guardHotPath(&report, speedup)
-		return
-	}
-	if *hotOut == "" {
-		return
-	}
-	f, err := os.Create(*hotOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *hotOut)
+		low("map", false)/low("frozen", false), low("map", false)/low("frozen", true))
 }
 
-// guardHotPath is the CI regression gate. Absolute ns/byte is machine-bound,
-// so the guard compares machine-free ratios: for every (prefilter, hit-rate)
-// frozen cell, the frozen/map ratio of this run must not exceed 1.2× the
-// checked-in baseline's ratio; and the headline acceptance — ≥2× over the
-// map baseline on low-hit-rate text with the prefilter — must still hold.
-func guardHotPath(cur *hotReport, lowSpeedup float64) {
-	if lowSpeedup < 2 {
-		fmt.Printf("HOTPATH GUARD FAIL: frozen+prefilter is only %.2fx over the map baseline at low hit rate (need ≥2x)\n", lowSpeedup)
-		os.Exit(1)
+// perByte is the ns_per_byte and mb_per_s of scanning n bytes in d.
+func perByte(n int, d time.Duration) map[string]float64 {
+	return map[string]float64{
+		"ns_per_byte": float64(d.Nanoseconds()) / float64(n),
+		"mb_per_s":    float64(n) / 1e6 / d.Seconds(),
 	}
-	f, err := os.Open(*hotOut)
-	if err != nil {
-		fmt.Printf("HOTPATH GUARD: no baseline %s (%v); speedup check passed, ratio check skipped\n", *hotOut, err)
-		return
-	}
-	var base hotReport
-	err = json.NewDecoder(f).Decode(&base)
-	check(f.Close())
-	check(err)
-	fail := false
-	for i := range cur.Points {
-		p := &cur.Points[i]
-		if p.Table != "frozen" {
-			continue
-		}
-		curMap := cur.find("map", false, p.HitRate)
-		baseFrozen := base.find("frozen", p.Prefilter, p.HitRate)
-		baseMap := base.find("map", false, p.HitRate)
-		if curMap == nil || baseFrozen == nil || baseMap == nil {
-			continue // baseline from an older sweep shape
-		}
-		curRatio := p.NsPerByte / curMap.NsPerByte
-		baseRatio := baseFrozen.NsPerByte / baseMap.NsPerByte
-		if curRatio > 1.2*baseRatio {
-			fmt.Printf("HOTPATH GUARD FAIL: frozen(prefilter=%v) at hit-rate %.3f: frozen/map ratio %.3f vs baseline %.3f (>20%% regression)\n",
-				p.Prefilter, p.HitRate, curRatio, baseRatio)
-			fail = true
-		}
-	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("hotpath guard: ok")
 }

@@ -1,53 +1,13 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
-	"time"
 
 	"pardict"
+	"pardict/internal/benchrow"
 	"pardict/internal/workload"
 )
-
-var lzOut = flag.String("lzout", "BENCH_lz.json",
-	"where E19 writes its compressed-domain comparison (empty = don't write)")
-var lzGuard = flag.Bool("lzguard", false,
-	"E19 regression guard: from this run's own machine-free ratios, require "+
-		"compressed-domain matching ≥1.5x faster than decompress-then-scan on "+
-		"low-hit text at redundancy ≥0.9, and never below 0.8x at redundancy 0")
-
-// lzPoint is one (arm, redundancy, hit-rate, dictionary-size) cell of the
-// E19 sweep. GOMAXPROCS is per-row per the BENCH_*.json schema convention.
-type lzPoint struct {
-	Arm        string  `json:"arm"` // "compressed", "decompress", or "raw"
-	Redundancy float64 `json:"redundancy"`
-	Hit        string  `json:"hit"` // "low" (random dict) or "high" (sampled from text)
-	Patterns   int     `json:"patterns"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	N          int     `json:"n"`
-	Ratio      float64 `json:"ratio"` // corpus compression ratio n / container bytes
-	NsPerByte  float64 `json:"ns_per_byte"`
-	MBPerSec   float64 `json:"mb_per_s"`
-}
-
-type lzReport struct {
-	NumCPU int       `json:"num_cpu"`
-	Quick  bool      `json:"quick"`
-	Points []lzPoint `json:"points"`
-}
-
-func (r *lzReport) find(arm string, red float64, hit string, np int) *lzPoint {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Arm == arm && p.Redundancy == red && p.Hit == hit && p.Patterns == np {
-			return p
-		}
-	}
-	return nil
-}
 
 // e19: the compressed tier. Three arms answer the same queries over the same
 // corpus, byte-identically:
@@ -66,7 +26,6 @@ func (r *lzReport) find(arm string, red float64, hit string, np int) *lzPoint {
 // compressed degenerates to decompress-then-scan.
 func e19() {
 	header("E19", "Compressed tier: MatchCompressed vs decompress-then-scan vs raw scan (ns/decoded byte)")
-	report := lzReport{NumCPU: runtime.NumCPU(), Quick: *quick}
 
 	const sigma = 64
 	n := scale(1<<22, 1<<19)
@@ -77,6 +36,7 @@ func e19() {
 		sizes = []int{64}
 	}
 	reps := 3
+	f := record("E19", map[string]any{"n": n})
 
 	fmt.Printf("%12s %11s %5s %9s %8s %8s %12s %10s\n",
 		"arm", "redundancy", "hit", "patterns", "n", "ratio", "ns/byte", "MB/s")
@@ -99,20 +59,12 @@ func e19() {
 
 				measure := func(arm string, run func()) {
 					run() // warm pools and caches
-					best := bestOf(reps, func() time.Duration {
-						t0 := time.Now()
-						run()
-						return time.Since(t0)
-					})
-					p := lzPoint{
-						Arm: arm, Redundancy: red, Hit: hit, Patterns: np,
-						GOMAXPROCS: runtime.GOMAXPROCS(0), N: n, Ratio: ct.Ratio(),
-						NsPerByte: float64(best.Nanoseconds()) / float64(n),
-						MBPerSec:  float64(n) / 1e6 / best.Seconds(),
-					}
-					report.Points = append(report.Points, p)
+					v := perByte(n, bestOf(reps, run))
+					v["ratio"] = ct.Ratio() // corpus compression ratio n / container bytes
+					f.Add(arm, benchrow.Params{"redundancy": red, "hit": hit, "patterns": np},
+						runtime.GOMAXPROCS(0), reps, v)
 					row("%12s %11.2f %5s %9d %8d %8.2f %12.2f %10.1f",
-						arm, red, hit, np, n, p.Ratio, p.NsPerByte, p.MBPerSec)
+						arm, red, hit, np, n, v["ratio"], v["ns_per_byte"], v["mb_per_s"])
 				}
 
 				measure("raw", func() { m.Match(dec).Release() })
@@ -124,61 +76,9 @@ func e19() {
 
 	// Headline: the highest-redundancy low-hit cell, smallest dictionary.
 	hiRed := reds[len(reds)-1]
-	dz := report.find("decompress", hiRed, "low", sizes[0])
-	cz := report.find("compressed", hiRed, "low", sizes[0])
+	head := benchrow.Params{"redundancy": hiRed, "hit": "low", "patterns": sizes[0]}
+	dz, _ := f.Get("decompress", head, 0, "ns_per_byte")
+	cz, _ := f.Get("compressed", head, 0, "ns_per_byte")
 	fmt.Printf("shape check: redundancy %.2f low-hit — compressed is %.2fx vs decompress-then-scan (acceptance: ≥1.5x)\n",
-		hiRed, dz.NsPerByte/cz.NsPerByte)
-
-	if *lzGuard {
-		guardLZ(&report)
-		return
-	}
-	if *lzOut == "" {
-		return
-	}
-	f, err := os.Create(*lzOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *lzOut)
-}
-
-// guardLZ is the CI gate for the compressed tier. It needs no checked-in
-// baseline: both thresholds are ratios between arms of the same run on the
-// same machine, so they are machine-free by construction.
-//
-//   - On every low-hit cell at redundancy ≥0.9, compressed-domain matching
-//     must beat decompress-then-scan by ≥1.5x.
-//   - On every redundancy-0 cell (all-literal factorization, the worst case),
-//     compressed must stay within 0.8x of decompress-then-scan — the
-//     window machinery may not cost more than 25% over the naive path.
-func guardLZ(cur *lzReport) {
-	fail := false
-	for i := range cur.Points {
-		p := &cur.Points[i]
-		if p.Arm != "compressed" {
-			continue
-		}
-		dz := cur.find("decompress", p.Redundancy, p.Hit, p.Patterns)
-		if dz == nil {
-			continue
-		}
-		speedup := dz.NsPerByte / p.NsPerByte
-		if p.Redundancy >= 0.9 && p.Hit == "low" && speedup < 1.5 {
-			fmt.Printf("LZ GUARD FAIL: redundancy %.2f hit=%s patterns=%d: compressed only %.2fx vs decompress-then-scan (need ≥1.5x)\n",
-				p.Redundancy, p.Hit, p.Patterns, speedup)
-			fail = true
-		}
-		if p.Redundancy == 0 && speedup < 0.8 {
-			fmt.Printf("LZ GUARD FAIL: redundancy 0 hit=%s patterns=%d: compressed is %.2fx vs decompress-then-scan (need ≥0.8x)\n",
-				p.Hit, p.Patterns, speedup)
-			fail = true
-		}
-	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("lz guard: ok")
+		hiRed, dz/cz)
 }

@@ -1,14 +1,19 @@
 // Command benchtab regenerates the paper-vs-measured tables recorded in
 // EXPERIMENTS.md. The paper (Muthukrishnan & Palem, SPAA 1993) has no
 // empirical section, so the reproduction targets are its complexity claims:
-// each experiment E1–E10 measures the work/depth counters (and wall time)
+// each experiment E1–E12 measures the work/depth counters (and wall time)
 // of one theorem's bound and prints the shape check alongside the claim.
+// E13 onward measure the execution layer and record rows in the
+// internal/benchrow format, which the guard table (guards.go) checks after
+// the run.
 //
 // Usage:
 //
-//	benchtab            # run everything
+//	benchtab            # run everything; exit nonzero if a guard fails
 //	benchtab -run E3,E9 # selected experiments
 //	benchtab -quick     # smaller sweeps (CI-sized)
+//	benchtab -out .     # also write BENCH_<name>.json for each experiment
+//	                    # that ran and passed its guards
 package main
 
 import (
@@ -16,11 +21,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
 	"pardict/internal/ahocorasick"
+	"pardict/internal/benchrow"
 	"pardict/internal/core"
 	"pardict/internal/dict2d"
 	"pardict/internal/dict3d"
@@ -35,8 +42,30 @@ import (
 
 var quick = flag.Bool("quick", false, "smaller sweeps")
 
+// benchFiles names the BENCH_<name>.json of each experiment that records rows.
+var benchFiles = map[string]string{
+	"E13": "scheduler", "E14": "shard", "E15": "hotpath", "E16": "stream",
+	"E18": "scaling", "E19": "lz", "E20": "writestorm",
+}
+
+func benchPath(dir, id string) string {
+	return filepath.Join(dir, "BENCH_"+benchFiles[id]+".json")
+}
+
+// results holds the rows of every recording experiment that ran.
+var results = map[string]*benchrow.File{}
+
+// record starts experiment id's rows; config holds the run's fixed settings.
+func record(id string, config map[string]any) *benchrow.File {
+	f := benchrow.New(id, *quick, config)
+	results[id] = f
+	return f
+}
+
 func main() {
 	runs := flag.String("run", "", "comma-separated experiment ids (default all)")
+	out := flag.String("out", "", "directory to write BENCH_<name>.json into, for each "+
+		"experiment that ran and passed its guards (default: write nothing)")
 	flag.Parse()
 
 	all := []struct {
@@ -60,6 +89,24 @@ func main() {
 			continue
 		}
 		e.f()
+	}
+
+	// Baselines are the checked-in files in the working directory, read
+	// before -out can overwrite them.
+	failed := checkGuards(results, ".")
+	for _, e := range all {
+		if f, ok := results[e.id]; ok && *out != "" {
+			path := benchPath(*out, e.id)
+			if failed[e.id] {
+				fmt.Printf("not writing %s: %s failed its guards\n", path, e.id)
+				continue
+			}
+			check(benchrow.Write(path, f))
+			fmt.Printf("wrote %s\n", path)
+		}
+	}
+	if len(failed) > 0 {
+		os.Exit(1)
 	}
 }
 
@@ -412,14 +459,7 @@ func e9() {
 	var base time.Duration
 	for p := 1; p <= runtime.NumCPU(); p *= 2 {
 		c := pram.New(p)
-		best := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			d.Match(c, text)
-			if el := time.Since(t0); el < best {
-				best = el
-			}
-		}
+		best := bestOf(3, func() { d.Match(c, text) })
 		if p == 1 {
 			base = best
 		}
@@ -459,7 +499,8 @@ func e10() {
 		ac.AllMatches(text, func(int, int32) { acTotal++ })
 		acT := time.Since(t0)
 		if acTotal != total {
-			fmt.Printf("WARNING: output mismatch %d vs %d\n", total, acTotal)
+			check(fmt.Errorf("E10 depth %d: marked-chain expansion found %d matches, Aho–Corasick %d",
+				depth, total, acTotal))
 		}
 		row("%8d %14d %14.2f %12.2f", depth, total,
 			float64(el.Nanoseconds())/float64(total),

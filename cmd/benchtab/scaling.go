@@ -1,27 +1,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"time"
 
 	"pardict"
+	"pardict/internal/benchrow"
 	"pardict/internal/core"
 	"pardict/internal/pram"
 	"pardict/internal/prefilter"
 )
 
-var scaleOut = flag.String("scaleout", "BENCH_scaling.json",
-	"where E18 writes its GOMAXPROCS scaling sweep (empty = don't write)")
-var scaleGuard = flag.Bool("scaleguard", false,
-	"E18 regression guard: require 2-way scaling efficiency ≥ 0.6 on low-hit text, "+
-		"the wide prefilter kernel ≥ 3x the scalar kernel, and (against the checked-in "+
-		"-scaleout file) no >20% regression of the wide arm's low-hit cost relative to "+
-		"the unfiltered arm")
 var scaleMax = flag.Int("scalemax", 0,
 	"E18 sweep ceiling for GOMAXPROCS (0 = NumCPU); levels double from 1. "+
 		"Set above NumCPU to probe oversubscription on small machines")
@@ -42,49 +33,6 @@ const (
 	armKernelScalar = "kernel-scalar"
 	armKernelWide   = "kernel-wide"
 )
-
-// scalePoint is one (arm, hit-rate, gomaxprocs) cell of the E18 sweep.
-type scalePoint struct {
-	Arm        string  `json:"arm"`
-	HitRate    float64 `json:"hit_rate"` // planted occurrences per text byte
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	N          int     `json:"n"`
-	NsPerByte  float64 `json:"ns_per_byte"`
-	MBPerSec   float64 `json:"mb_per_s"`
-
-	// Speedup is MBPerSec over the same arm/rate at GOMAXPROCS=1;
-	// Efficiency divides it by min(gomaxprocs, NumCPU) — the attainable
-	// parallelism — so a 4-level sweep on a 2-core box still reads 1.0 at
-	// perfect scaling and oversubscribed levels are judged on "don't
-	// collapse" rather than impossible linearity.
-	Speedup    float64 `json:"speedup"`
-	Efficiency float64 `json:"efficiency"`
-
-	// Balance is max/mean of per-slot chunk counts retired during the
-	// timed runs (1.0 = perfectly even; see Pool.WorkerChunks). Steals is
-	// the work-stealing traffic over the same interval. Both are 0 for the
-	// single-threaded kernel arms.
-	Balance float64 `json:"balance,omitempty"`
-	Steals  int64   `json:"steals,omitempty"`
-}
-
-type scaleReport struct {
-	NumCPU   int          `json:"num_cpu"`
-	Quick    bool         `json:"quick"`
-	ScaleMax int          `json:"scale_max"`
-	Pinned   bool         `json:"pinned"`
-	Points   []scalePoint `json:"points"`
-}
-
-func (r *scaleReport) find(arm string, rate float64, g int) *scalePoint {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Arm == arm && p.HitRate == rate && p.GOMAXPROCS == g {
-			return p
-		}
-	}
-	return nil
-}
 
 // scaleLevels doubles from 1 to the sweep ceiling, always ending exactly at
 // the ceiling so the headline level is measured even when it is not a power
@@ -110,10 +58,6 @@ func scaleLevels() []int {
 func e18() {
 	header("E18", "Scaling: GOMAXPROCS sweep — cascade arms, sharded matcher, prefilter kernels")
 	levels := scaleLevels()
-	report := scaleReport{
-		NumCPU: runtime.NumCPU(), Quick: *quick,
-		ScaleMax: levels[len(levels)-1], Pinned: *scalePin,
-	}
 
 	rng := rand.New(rand.NewSource(88))
 	bytePats := make([][]byte, 64)
@@ -130,6 +74,7 @@ func e18() {
 	n := scale(1<<20, 1<<17)
 	rates := []float64{0, 0.01}
 	reps := 3
+	f := record("E18", map[string]any{"n": n, "scale_max": levels[len(levels)-1], "pinned": *scalePin})
 	byteTexts := make(map[float64][]byte, len(rates))
 	intTexts := make(map[float64][]int32, len(rates))
 	for _, rate := range rates {
@@ -151,13 +96,28 @@ func e18() {
 	fmt.Printf("%14s %10s %6s %12s %10s %9s %11s %9s %8s\n",
 		"arm", "hit-rate", "procs", "ns/byte", "MB/s", "speedup", "efficiency", "balance", "steals")
 
-	emit := func(p scalePoint) {
-		report.Points = append(report.Points, p)
+	// emit records one cell, adding speedup (MB/s over the same arm and rate
+	// at GOMAXPROCS=1, measured first) and efficiency: speedup over
+	// min(gomaxprocs, NumCPU), the attainable parallelism, so a sweep past
+	// NumCPU still reads 1.0 at perfect scaling and oversubscribed levels are
+	// judged on "don't collapse" rather than impossible linearity.
+	emit := func(arm string, rate float64, g int, m map[string]float64) {
+		params := benchrow.Params{"hit_rate": rate}
+		base := m["mb_per_s"]
+		if g > 1 {
+			base, _ = f.Get(arm, params, 1, "mb_per_s")
+		}
+		m["speedup"] = m["mb_per_s"] / base
+		m["efficiency"] = m["speedup"] / float64(max(1, min(g, runtime.NumCPU())))
+		f.Add(arm, params, g, reps, m)
+		row("%14s %10.3f %6d %12.2f %10.1f %8.2fx %11.2f %9.2f %8.0f",
+			arm, rate, g, m["ns_per_byte"], m["mb_per_s"], m["speedup"], m["efficiency"],
+			m["balance"], m["steals"])
 	}
 
 	// Kernel arms: single-threaded, low-hit text, full word range per run.
 	{
-		f := prefilter.Build(intPats)
+		pf := prefilter.Build(intPats)
 		text := intTexts[0]
 		words := (len(text) + 63) / 64
 		out := make([]uint64, words)
@@ -165,20 +125,11 @@ func e18() {
 			arm string
 			run func()
 		}{
-			{armKernelScalar, func() { f.ScanWords(text, out, 0, words) }},
-			{armKernelWide, func() { f.ScanWordsWide(text, out, 0, words) }},
+			{armKernelScalar, func() { pf.ScanWords(text, out, 0, words) }},
+			{armKernelWide, func() { pf.ScanWordsWide(text, out, 0, words) }},
 		} {
 			k.run()
-			best := bestOf(reps, func() time.Duration {
-				t0 := time.Now()
-				k.run()
-				return time.Since(t0)
-			})
-			emit(scalePoint{
-				Arm: k.arm, HitRate: 0, GOMAXPROCS: 1, N: n,
-				NsPerByte: float64(best.Nanoseconds()) / float64(n),
-				MBPerSec:  float64(n) / 1e6 / best.Seconds(),
-			})
+			emit(k.arm, 0, 1, perByte(n, bestOf(reps, k.run)))
 		}
 	}
 
@@ -191,7 +142,7 @@ func e18() {
 			if unpin, err = pinCPUs(g); err != nil {
 				fmt.Printf("pinning unavailable (%v); continuing unpinned\n", err)
 				*scalePin = false
-				report.Pinned = false
+				f.Config["pinned"] = false
 			}
 		}
 		runtime.GOMAXPROCS(g)
@@ -212,7 +163,7 @@ func e18() {
 				r := &core.Result{}
 				text := intTexts[rate]
 				run := func() { d.MatchInto(c, text, r) }
-				emit(measureScale(arm.name, rate, g, n, reps, run,
+				emit(arm.name, rate, g, measureScale(n, reps, run,
 					pool.WorkerChunks, func() int64 { return pool.Stats().Steals }))
 				r.Release()
 				pool.Close()
@@ -226,7 +177,7 @@ func e18() {
 			check(sm.Reload(bytePats))
 			text := byteTexts[rate]
 			run := func() { sm.Match(text) }
-			emit(measureScale(armShard, rate, g, n, reps, run,
+			emit(armShard, rate, g, measureScale(n, reps, run,
 				spool.WorkerChunks, func() int64 { return spool.Stats().Steals }))
 			sm.Close()
 			spool.Close()
@@ -237,59 +188,20 @@ func e18() {
 		}
 	}
 
-	// Speedup and efficiency against each arm/rate's level-1 row.
-	for i := range report.Points {
-		p := &report.Points[i]
-		base := report.find(p.Arm, p.HitRate, 1)
-		if base == nil || base.MBPerSec == 0 {
-			continue
-		}
-		p.Speedup = p.MBPerSec / base.MBPerSec
-		attain := p.GOMAXPROCS
-		if attain > report.NumCPU {
-			attain = report.NumCPU
-		}
-		if attain < 1 {
-			attain = 1
-		}
-		p.Efficiency = p.Speedup / float64(attain)
-		row("%14s %10.3f %6d %12.2f %10.1f %8.2fx %11.2f %9.2f %8d",
-			p.Arm, p.HitRate, p.GOMAXPROCS, p.NsPerByte, p.MBPerSec,
-			p.Speedup, p.Efficiency, p.Balance, p.Steals)
-	}
-	ks, kw := report.find(armKernelScalar, 0, 1), report.find(armKernelWide, 0, 1)
-	kernelRatio := kw.MBPerSec / ks.MBPerSec
+	ks, _ := f.Get(armKernelScalar, benchrow.Params{"hit_rate": 0}, 1, "mb_per_s")
+	kw, _ := f.Get(armKernelWide, benchrow.Params{"hit_rate": 0}, 1, "mb_per_s")
 	fmt.Printf("shape check: low-hit efficiency ~1.0 up to NumCPU (flat under oversubscription);\n")
 	fmt.Printf("             wide/scalar kernel ratio %.2fx (acceptance: ≥3x); balance ≈ 1 under stealing.\n",
-		kernelRatio)
-
-	if *scaleGuard {
-		guardScaling(&report, kernelRatio)
-		return
-	}
-	if *scaleOut == "" {
-		return
-	}
-	f, err := os.Create(*scaleOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *scaleOut)
+		kw/ks)
 }
 
 // measureScale times one sweep cell: warm run, best of reps, per-slot chunk
-// and steal deltas bracketing the timed interval.
-func measureScale(arm string, rate float64, g, n, reps int, run func(),
-	workerChunks func() []int64, steals func() int64) scalePoint {
+// and steal deltas bracketing the timed interval. balance is max/mean of the
+// per-slot chunk counts (1.0 = perfectly even; see Pool.WorkerChunks).
+func measureScale(n, reps int, run func(), workerChunks func() []int64, steals func() int64) map[string]float64 {
 	run() // warm pool, caches, and lazily-built tables
 	chunks0, steals0 := workerChunks(), steals()
-	best := bestOf(reps, func() time.Duration {
-		t0 := time.Now()
-		run()
-		return time.Since(t0)
-	})
+	best := bestOf(reps, run)
 	chunks1 := workerChunks()
 	var maxC, sumC int64
 	for i := range chunks1 {
@@ -299,66 +211,12 @@ func measureScale(arm string, rate float64, g, n, reps int, run func(),
 			maxC = c
 		}
 	}
-	p := scalePoint{
-		Arm: arm, HitRate: rate, GOMAXPROCS: g, N: n,
-		NsPerByte: float64(best.Nanoseconds()) / float64(n),
-		MBPerSec:  float64(n) / 1e6 / best.Seconds(),
-		Steals:    steals() - steals0,
-	}
+	m := perByte(n, best)
+	m["steals"] = float64(steals() - steals0)
 	if sumC > 0 {
-		p.Balance = float64(maxC) * float64(len(chunks1)) / float64(sumC)
+		m["balance"] = float64(maxC) * float64(len(chunks1)) / float64(sumC)
 	}
-	return p
-}
-
-// guardScaling is the CI gate over the sweep. Efficiency thresholds are
-// machine-free by construction (they are ratios of same-box runs); the
-// wide-arm check against the checked-in baseline compares the wide/off cost
-// ratio, as in the E15 guard, so absolute ns/byte never crosses machines.
-func guardScaling(cur *scaleReport, kernelRatio float64) {
-	fail := false
-	if kernelRatio < 3 {
-		fmt.Printf("SCALING GUARD FAIL: wide kernel is only %.2fx the scalar kernel on low-hit text (need ≥3x)\n",
-			kernelRatio)
-		fail = true
-	}
-	for _, arm := range []string{armScanOff, armScanScalar, armScanWide, armShard} {
-		p := cur.find(arm, 0, 2)
-		if p == nil {
-			continue // sweep ceiling below 2
-		}
-		if p.Efficiency < 0.6 {
-			fmt.Printf("SCALING GUARD FAIL: %s at GOMAXPROCS=2 has efficiency %.2f (need ≥0.6)\n",
-				arm, p.Efficiency)
-			fail = true
-		}
-	}
-	if f, err := os.Open(*scaleOut); err != nil {
-		fmt.Printf("SCALING GUARD: no baseline %s (%v); ratio check skipped\n", *scaleOut, err)
-	} else {
-		var base scaleReport
-		err = json.NewDecoder(f).Decode(&base)
-		check(f.Close())
-		check(err)
-		for _, g := range []int{1, 2} {
-			curWide, curOff := cur.find(armScanWide, 0, g), cur.find(armScanOff, 0, g)
-			baseWide, baseOff := base.find(armScanWide, 0, g), base.find(armScanOff, 0, g)
-			if curWide == nil || curOff == nil || baseWide == nil || baseOff == nil {
-				continue
-			}
-			curRatio := curWide.NsPerByte / curOff.NsPerByte
-			baseRatio := baseWide.NsPerByte / baseOff.NsPerByte
-			if curRatio > 1.2*baseRatio {
-				fmt.Printf("SCALING GUARD FAIL: wide/off cost ratio at GOMAXPROCS=%d is %.3f vs baseline %.3f (>20%% regression)\n",
-					g, curRatio, baseRatio)
-				fail = true
-			}
-		}
-	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("scaling guard: ok")
+	return m
 }
 
 // encodeBytes widens a byte string to the engine's int32 symbols.

@@ -1,37 +1,14 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
+	"math"
 	"runtime"
 	"time"
 
+	"pardict/internal/benchrow"
 	"pardict/internal/pram"
 )
-
-var schedOut = flag.String("schedout", "BENCH_scheduler.json",
-	"where E13 writes its scheduler comparison (empty = don't write)")
-
-// schedPoint is one (procs, n) cell of the E13 comparison. Procs is the
-// executor width under test; GOMAXPROCS the runtime setting the cell ran at
-// (per-row by the BENCH_*.json schema convention).
-type schedPoint struct {
-	Procs           int     `json:"procs"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	N               int     `json:"n"`
-	Phases          int     `json:"phases"`
-	SpawnNsPerPhase float64 `json:"spawn_ns_per_phase"`
-	PoolNsPerPhase  float64 `json:"pool_ns_per_phase"`
-	Speedup         float64 `json:"speedup"` // spawn / pool; > 1 means pool wins
-}
-
-type schedReport struct {
-	NumCPU int          `json:"num_cpu"`
-	Quick  bool         `json:"quick"`
-	Points []schedPoint `json:"points"`
-}
 
 // e13: the executor ablation behind the persistent pool — per-phase cost of
 // spawning a fresh goroutine set (the historic executor, kept as
@@ -41,7 +18,7 @@ type schedReport struct {
 // latency.
 func e13() {
 	header("E13", "Scheduler: spawn-per-phase vs persistent work-stealing pool (per-phase ns)")
-	report := schedReport{NumCPU: runtime.NumCPU(), Quick: *quick}
+	f := record("E13", map[string]any{})
 	fmt.Printf("%6s %10s %8s %14s %14s %9s\n",
 		"procs", "n", "phases", "spawn ns/ph", "pool ns/ph", "speedup")
 	for _, procs := range []int{4, 8} {
@@ -61,35 +38,27 @@ func e13() {
 				}
 			}
 
-			spawnNs := bestOf(3, func() time.Duration {
-				t0 := time.Now()
+			spawnNs := bestOf(3, func() {
 				for ph := 0; ph < phases; ph++ {
 					pram.SpawnForChunk(procs, n, body)
 				}
-				return time.Since(t0)
 			})
 
 			c := pram.NewCtx(nil, pool)
-			poolNs := bestOf(3, func() time.Duration {
-				t0 := time.Now()
+			poolNs := bestOf(3, func() {
 				for ph := 0; ph < phases; ph++ {
 					c.ForChunk(n, body)
 				}
-				return time.Since(t0)
 			})
 
-			p := schedPoint{
-				Procs:           procs,
-				GOMAXPROCS:      runtime.GOMAXPROCS(0),
-				N:               n,
-				Phases:          phases,
-				SpawnNsPerPhase: float64(spawnNs.Nanoseconds()) / float64(phases),
-				PoolNsPerPhase:  float64(poolNs.Nanoseconds()) / float64(phases),
-			}
-			p.Speedup = p.SpawnNsPerPhase / p.PoolNsPerPhase
-			report.Points = append(report.Points, p)
-			row("%6d %10d %8d %14.0f %14.0f %8.2fx",
-				p.Procs, p.N, p.Phases, p.SpawnNsPerPhase, p.PoolNsPerPhase, p.Speedup)
+			params := benchrow.Params{"procs": procs, "n": n, "phases": phases}
+			spawn := float64(spawnNs.Nanoseconds()) / float64(phases)
+			pooled := float64(poolNs.Nanoseconds()) / float64(phases)
+			g := runtime.GOMAXPROCS(0)
+			f.Add("spawn", params, g, 3, map[string]float64{"ns_per_phase": spawn})
+			// speedup is spawn/pool: > 1 means the pool wins.
+			f.Add("pool", params, g, 3, map[string]float64{"ns_per_phase": pooled, "speedup": spawn / pooled})
+			row("%6d %10d %8d %14.0f %14.0f %8.2fx", procs, n, phases, spawn, pooled, spawn/pooled)
 		}
 		st := pool.Stats()
 		fmt.Printf("   pool counters (procs=%d): phases=%d pooled=%d chunks=%d steals=%d parks=%d mean-grain=%.0f mean-queue=%.2f\n",
@@ -98,24 +67,16 @@ func e13() {
 		pool.Close()
 	}
 	fmt.Println("shape check: pool ns/phase below spawn on short phases (n ≤ 4096); parity on long.")
-	if *schedOut == "" {
-		return
-	}
-	f, err := os.Create(*schedOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *schedOut)
 }
 
-// bestOf returns the minimum duration over reps runs of f (minimum, not mean:
-// scheduler-noise outliers only ever add time).
-func bestOf(reps int, f func() time.Duration) time.Duration {
-	best := f()
-	for r := 1; r < reps; r++ {
-		if d := f(); d < best {
+// bestOf returns the minimum wall time over reps runs of run (minimum, not
+// mean: scheduler-noise outliers only ever add time).
+func bestOf(reps int, run func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for r := 0; r < reps; r++ {
+		t0 := time.Now()
+		run()
+		if d := time.Since(t0); d < best {
 			best = d
 		}
 	}

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -12,10 +9,8 @@ import (
 	"time"
 
 	"pardict"
+	"pardict/internal/benchrow"
 )
-
-var shardOut = flag.String("shardout", "BENCH_shard.json",
-	"where E14 writes its serving comparison (empty = don't write)")
 
 // serveVariant abstracts one way of serving scans while the dictionary
 // mutates: the sharded RCU matcher, a single dynamic matcher behind an
@@ -130,38 +125,6 @@ func rebuildWorldVariant(base [][]byte) *serveVariant {
 	return v
 }
 
-// shardPoint is one (variant, write-rate) cell of the E14 comparison.
-// GOMAXPROCS is per-row by the BENCH_*.json schema convention.
-type shardPoint struct {
-	Variant     string  `json:"variant"`
-	Shards      int     `json:"shards,omitempty"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Readers     int     `json:"readers"`
-	Writers     int     `json:"writers"`
-	WriteDelay  string  `json:"write_delay"` // per-writer pause between mutations
-	Scans       int64   `json:"scans"`
-	Mutations   int64   `json:"mutations"`
-	ScansPerSec float64 `json:"scans_per_sec"`
-	P50Us       float64 `json:"p50_us"`
-	P99Us       float64 `json:"p99_us"`
-
-	// Mean instrumented PRAM cost per scan. Work grows with S (every shard
-	// walks the text) but Depth — the critical path — stays near-flat, so
-	// with P ≥ S processors the model predicts the fan-out rides free; the
-	// single-core wall clock above instead pays the full Work serially.
-	MeanScanWork  float64 `json:"mean_scan_work"`
-	MeanScanDepth float64 `json:"mean_scan_depth"`
-}
-
-type shardReport struct {
-	NumCPU     int          `json:"num_cpu"`
-	Quick      bool         `json:"quick"`
-	BaseDict   int          `json:"base_dict"`
-	TextLen    int          `json:"text_len"`
-	DurationMs int64        `json:"duration_ms"`
-	Points     []shardPoint `json:"points"`
-}
-
 // e14: the serving ablation behind the sharded subsystem — scan throughput,
 // tail latency, and instrumented PRAM cost under a concurrent insert/delete
 // stream, sweeping the shard count S and the write rate. The scaling claim
@@ -199,10 +162,9 @@ func e14() {
 	}
 	const writers = 4
 
-	report := shardReport{
-		NumCPU: runtime.NumCPU(), Quick: *quick,
-		BaseDict: baseDict, TextLen: textLen, DurationMs: dur.Milliseconds(),
-	}
+	f := record("E14", map[string]any{
+		"base_dict": baseDict, "text_len": textLen, "duration_ms": dur.Milliseconds(), "readers": readers,
+	})
 	fmt.Printf("%18s %7s %7s %11s %10s %9s %9s %9s %12s %10s\n",
 		"variant", "readers", "writers", "write-delay", "scans/s", "p50 µs", "p99 µs", "muts", "work/scan", "depth/scan")
 
@@ -229,12 +191,15 @@ func e14() {
 			variants = append(variants, rebuildWorldVariant(base))
 		}
 		for _, v := range variants {
-			p := runServePoint(v, text, readers, rate.writers, rate.delay, dur)
-			report.Points = append(report.Points, p)
-			row("%18s %7d %7d %11s %10.0f %9.0f %9.0f %9d %12.0f %10.0f",
-				p.Variant, p.Readers, p.Writers, p.WriteDelay,
-				p.ScansPerSec, p.P50Us, p.P99Us, p.Mutations,
-				p.MeanScanWork, p.MeanScanDepth)
+			m := runServePoint(v, text, readers, rate.writers, rate.delay, dur)
+			params := benchrow.Params{"writers": rate.writers, "write_delay": rate.delay.String()}
+			if v.shards > 0 {
+				params["shards"] = v.shards
+			}
+			f.Add(v.name, params, runtime.GOMAXPROCS(0), 1, m)
+			row("%18s %7d %7d %11s %10.0f %9.0f %9.0f %9.0f %12.0f %10.0f",
+				v.name, readers, rate.writers, rate.delay, m["scans_per_sec"], m["p50_us"],
+				m["p99_us"], m["mutations"], m["mean_scan_work"], m["mean_scan_depth"])
 			v.close()
 		}
 	}
@@ -247,23 +212,14 @@ func e14() {
 	fmt.Println("the mutations column is sustained write throughput, not a controlled rate —")
 	fmt.Println("and it scales with S (per-shard logs and 1/S-sized rebuilds) where the")
 	fmt.Println("locked baselines flatten.")
-
-	if *shardOut == "" {
-		return
-	}
-	f, err := os.Create(*shardOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *shardOut)
 }
 
 // runServePoint drives readers scanning in a closed loop and writers issuing
 // an insert+delete churn (each writer owns a disjoint key space, so mutations
-// never conflict) for dur, then reduces the per-scan latencies.
-func runServePoint(v *serveVariant, text []byte, readers, writers int, writeDelay time.Duration, dur time.Duration) shardPoint {
+// never conflict) for dur, then reduces the per-scan latencies. The mean_scan_*
+// metrics are the instrumented PRAM cost per scan: Work grows with S (every
+// shard walks the text) but Depth — the critical path — stays near-flat.
+func runServePoint(v *serveVariant, text []byte, readers, writers int, writeDelay time.Duration, dur time.Duration) map[string]float64 {
 	var stop atomic.Bool
 	var scans, mutations atomic.Int64
 	lats := make([][]time.Duration, readers)
@@ -312,34 +268,33 @@ func runServePoint(v *serveVariant, text []byte, readers, writers int, writeDela
 	wg.Wait()
 	elapsed := time.Since(t0)
 
+	pct := percentilesUs(lats)
+	m := map[string]float64{
+		"scans":         float64(scans.Load()),
+		"mutations":     float64(mutations.Load()),
+		"scans_per_sec": float64(scans.Load()) / elapsed.Seconds(),
+		"p50_us":        pct(0.50),
+		"p99_us":        pct(0.99),
+	}
+	if n := scans.Load(); n > 0 {
+		m["mean_scan_work"] = float64(v.work.Load()) / float64(n)
+		m["mean_scan_depth"] = float64(v.depth.Load()) / float64(n)
+	}
+	return m
+}
+
+// percentilesUs pools per-goroutine latency samples and returns a lookup of
+// the q-quantile in µs (0 with no samples).
+func percentilesUs(lats [][]time.Duration) func(q float64) float64 {
 	var all []time.Duration
 	for _, l := range lats {
 		all = append(all, l...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(q float64) float64 {
+	return func(q float64) float64 {
 		if len(all) == 0 {
 			return 0
 		}
-		i := int(q * float64(len(all)-1))
-		return float64(all[i].Nanoseconds()) / 1e3
+		return float64(all[int(q*float64(len(all)-1))].Nanoseconds()) / 1e3
 	}
-	p := shardPoint{
-		Variant:     v.name,
-		Shards:      v.shards,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Readers:     readers,
-		Writers:     writers,
-		WriteDelay:  writeDelay.String(),
-		Scans:       scans.Load(),
-		Mutations:   mutations.Load(),
-		ScansPerSec: float64(scans.Load()) / elapsed.Seconds(),
-		P50Us:       pct(0.50),
-		P99Us:       pct(0.99),
-	}
-	if n := scans.Load(); n > 0 {
-		p.MeanScanWork = float64(v.work.Load()) / float64(n)
-		p.MeanScanDepth = float64(v.depth.Load()) / float64(n)
-	}
-	return p
 }

@@ -1,54 +1,21 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pardict"
+	"pardict/internal/benchrow"
 	"pardict/internal/obs"
 )
-
-var streamOut = flag.String("streamout", "BENCH_stream.json",
-	"where E16 writes its streaming comparison (empty = don't write)")
 
 // streamLatBounds mirror the StreamServer's internal accept→scan-complete
 // latency buckets (1µs doubling), so the goroutine baseline is measured at
 // the same granularity and both arms' p99 come from identical histograms.
 var streamLatBounds = obs.ExpBounds(1_000, 2, 23)
-
-// streamPoint is one (mode, streams, gomaxprocs) cell of the E16 comparison.
-type streamPoint struct {
-	Mode       string `json:"mode"` // "server" (multiplexed) or "goroutines" (baseline)
-	Streams    int    `json:"streams"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	ChunkBytes int    `json:"chunk_bytes"`
-	TotalBytes int64  `json:"total_bytes"`
-
-	AggMBps  float64 `json:"agg_mb_per_sec"` // aggregate scan throughput
-	P99LatUs float64 `json:"p99_latency_us"` // chunk accept→scan-complete
-	P50LatUs float64 `json:"p50_latency_us"`
-	Matches  int64   `json:"matches"`
-
-	// Server-arm only: dispatch-phase shape (0 for the baseline).
-	Batches          int64   `json:"batches,omitempty"`
-	MeanBatchStreams float64 `json:"mean_batch_streams,omitempty"`
-}
-
-// streamReport's swept GOMAXPROCS settings live per-row in Points (the
-// BENCH_*.json schema convention), never at the top level.
-type streamReport struct {
-	NumCPU   int           `json:"num_cpu"`
-	Quick    bool          `json:"quick"`
-	Patterns int           `json:"patterns"`
-	MaxLen   int           `json:"max_len"`
-	Points   []streamPoint `json:"points"`
-}
 
 // e16: the multiplexed streaming claim — one StreamServer coalescing N tenant
 // streams into batched phases vs N independent StreamMatcher instances each
@@ -79,10 +46,7 @@ func e16() {
 	if n := runtime.NumCPU(); n > 1 {
 		gomax = append(gomax, n)
 	}
-	report := streamReport{
-		NumCPU: runtime.NumCPU(), Quick: *quick,
-		Patterns: len(patterns), MaxLen: m,
-	}
+	f := record("E16", map[string]any{"patterns": len(patterns), "max_len": m, "chunk_bytes": chunkBytes})
 
 	fmt.Printf("%12s %8s %6s %12s %12s %10s %10s %9s %12s\n",
 		"mode", "streams", "procs", "total MB", "agg MB/s", "p50 µs", "p99 µs", "matches", "batch size")
@@ -92,18 +56,16 @@ func e16() {
 		runtime.GOMAXPROCS(g)
 		for _, streams := range sweeps {
 			chunks := streamChunks(totalBytes, chunkBytes, streams, patterns)
-			srv := runStreamServerArm(patterns, g, chunks, chunkBytes)
-			base := runStreamGoroutineArm(patterns, g, chunks, chunkBytes)
-			if srv.Matches != base.Matches {
-				fmt.Printf("WARNING: match totals diverge: server %d vs baseline %d\n",
-					srv.Matches, base.Matches)
-			}
-			for _, p := range []streamPoint{srv, base} {
-				report.Points = append(report.Points, p)
-				row("%12s %8d %6d %12.1f %12.1f %10.0f %10.0f %9d %12.1f",
-					p.Mode, p.Streams, p.GOMAXPROCS,
-					float64(p.TotalBytes)/(1<<20), p.AggMBps,
-					p.P50LatUs, p.P99LatUs, p.Matches, p.MeanBatchStreams)
+			for _, mode := range []string{"server", "goroutines"} {
+				run := runStreamServerArm
+				if mode == "goroutines" {
+					run = runStreamGoroutineArm
+				}
+				p := run(patterns, g, chunks, chunkBytes)
+				f.Add(mode, benchrow.Params{"streams": streams}, g, 1, p)
+				row("%12s %8d %6d %12.1f %12.1f %10.0f %10.0f %9.0f %12.1f",
+					mode, streams, g, p["total_bytes"]/(1<<20), p["agg_mb_per_sec"],
+					p["p50_latency_us"], p["p99_latency_us"], p["matches"], p["mean_batch_streams"])
 			}
 		}
 	}
@@ -111,17 +73,6 @@ func e16() {
 	fmt.Println("arm's aggregate MB/s and p99 beat the N-goroutine baseline, and the gap grows")
 	fmt.Println("with N — one dispatcher batching ready streams amortizes scheduling that the")
 	fmt.Println("baseline pays per chunk (N channel park/unpark cycles and N hot goroutines).")
-
-	if *streamOut == "" {
-		return
-	}
-	f, err := os.Create(*streamOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *streamOut)
 }
 
 // streamDict is the E16 signature bank: mixed lengths with shared prefixes,
@@ -203,7 +154,9 @@ func streamProducers(chunks [][][]byte, feed func(stream int, chunk []byte), clo
 }
 
 // runStreamServerArm: one multiplexed StreamServer over a shared matcher.
-func runStreamServerArm(patterns [][]byte, procs int, chunks [][][]byte, chunkBytes int) streamPoint {
+// Latency is chunk accept→scan-complete; batches and mean_batch_streams give
+// the dispatch-phase shape.
+func runStreamServerArm(patterns [][]byte, procs int, chunks [][][]byte, chunkBytes int) map[string]float64 {
 	m, err := pardict.NewMatcher(patterns, pardict.WithParallelism(procs))
 	check(err)
 	srv := m.NewStreamServer(pardict.WithStreamQueue(4 * chunkBytes))
@@ -222,20 +175,23 @@ func runStreamServerArm(patterns [][]byte, procs int, chunks [][][]byte, chunkBy
 	st := srv.Stats()
 	check(srv.Close())
 
-	total := st.FedBytes
-	p := streamPoint{
-		Mode: "server", Streams: len(chunks), GOMAXPROCS: procs,
-		ChunkBytes: chunkBytes, TotalBytes: total,
-		AggMBps:  float64(total) / (1 << 20) / elapsed.Seconds(),
-		P99LatUs: float64(st.Latency.Quantile(0.99)) / 1e3,
-		P50LatUs: float64(st.Latency.Quantile(0.50)) / 1e3,
-		Matches:  matches.Load(),
-		Batches:  st.Batches,
-	}
+	p := streamMetrics(st.FedBytes, elapsed, st.Latency, matches.Load())
+	p["batches"] = float64(st.Batches)
 	if st.Batches > 0 {
-		p.MeanBatchStreams = float64(st.BatchStreams) / float64(st.Batches)
+		p["mean_batch_streams"] = float64(st.BatchStreams) / float64(st.Batches)
 	}
 	return p
+}
+
+// streamMetrics are the readings both E16 arms report.
+func streamMetrics(total int64, elapsed time.Duration, lat pardict.HistogramSnapshot, matches int64) map[string]float64 {
+	return map[string]float64{
+		"total_bytes":    float64(total),
+		"agg_mb_per_sec": float64(total) / (1 << 20) / elapsed.Seconds(),
+		"p99_latency_us": float64(lat.Quantile(0.99)) / 1e3,
+		"p50_latency_us": float64(lat.Quantile(0.50)) / 1e3,
+		"matches":        float64(matches),
+	}
 }
 
 // stampedChunk carries the enqueue time so the baseline measures the same
@@ -248,7 +204,7 @@ type stampedChunk struct {
 // runStreamGoroutineArm: the pre-refactor architecture at scale — one
 // StreamMatcher and one consumer goroutine per stream, fed through a bounded
 // channel with the same capacity as the server arm's queue (4 chunks).
-func runStreamGoroutineArm(patterns [][]byte, procs int, chunks [][][]byte, chunkBytes int) streamPoint {
+func runStreamGoroutineArm(patterns [][]byte, procs int, chunks [][][]byte, chunkBytes int) map[string]float64 {
 	m, err := pardict.NewMatcher(patterns, pardict.WithParallelism(procs))
 	check(err)
 	var matches atomic.Int64
@@ -281,12 +237,5 @@ func runStreamGoroutineArm(patterns [][]byte, procs int, chunks [][][]byte, chun
 
 	hs := hist.Snapshot()
 	snap := pardict.HistogramSnapshot{Bounds: hs.Bounds, Counts: hs.Counts, Count: hs.Count, Sum: hs.Sum}
-	return streamPoint{
-		Mode: "goroutines", Streams: len(chunks), GOMAXPROCS: procs,
-		ChunkBytes: chunkBytes, TotalBytes: total.Load(),
-		AggMBps:  float64(total.Load()) / (1 << 20) / elapsed.Seconds(),
-		P99LatUs: float64(snap.Quantile(0.99)) / 1e3,
-		P50LatUs: float64(snap.Quantile(0.50)) / 1e3,
-		Matches:  matches.Load(),
-	}
+	return streamMetrics(total.Load(), elapsed, snap, matches.Load())
 }

@@ -1,59 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pardict"
+	"pardict/internal/benchrow"
 	"pardict/internal/shard"
 )
-
-var stormOut = flag.String("stormout", "BENCH_writestorm.json",
-	"where E20 writes its write-storm sweep (empty = don't write)")
-
-var stormGuard = flag.Bool("stormguard", false,
-	"E20 regression guard: from this run's own machine-free ratios, require "+
-		"split-phase write throughput ≥2x joined at the highest write rate in "+
-		"both skews, the hot-shard split arm to keep ≥half the uniform split "+
-		"throughput, and every arm's quiesced state to equal its oracle")
-
-// stormPoint is one (arm, skew, writers) cell of the E20 write-storm sweep.
-// GOMAXPROCS is per-row by the BENCH_*.json schema convention.
-type stormPoint struct {
-	Arm           string  `json:"arm"`
-	Skew          string  `json:"skew"` // uniform | hotshard
-	Writers       int     `json:"writers"`
-	Readers       int     `json:"readers"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Writes        int64   `json:"writes"`
-	WritesPerSec  float64 `json:"writes_per_sec"`
-	WriteP50Us    float64 `json:"write_p50_us"`
-	WriteP99Us    float64 `json:"write_p99_us"`
-	Scans         int64   `json:"scans"`
-	ScansPerSec   float64 `json:"scans_per_sec"`
-	PhaseSwitches int64   `json:"phase_switches"`
-	Merges        int64   `json:"merges"`
-	MergedOps     int64   `json:"merged_ops"`
-	OracleOK      bool    `json:"oracle_ok"`
-}
-
-type stormReport struct {
-	NumCPU     int          `json:"num_cpu"`
-	Quick      bool         `json:"quick"`
-	Shards     int          `json:"shards"`
-	BaseDict   int          `json:"base_dict"`
-	TextLen    int          `json:"text_len"`
-	DurationMs int64        `json:"duration_ms"`
-	Points     []stormPoint `json:"points"`
-}
 
 // stormVariant is one way of absorbing a mutation storm while readers scan:
 // the sharded matcher in a forced (or auto) write phase, or the dynamic
@@ -64,7 +22,7 @@ type stormVariant struct {
 	mutate    func(insert bool, p []byte)
 	drain     func()                  // quiesce all buffered writes
 	matchLens func(text []byte) []int // per-position longest-match lengths
-	stats     func(sp *stormPoint)
+	stats     func(m map[string]float64)
 	close     func()
 }
 
@@ -93,11 +51,11 @@ func shardedStormVariant(base [][]byte, shards int, phase pardict.WritePhase) *s
 			}
 			return out
 		},
-		stats: func(sp *stormPoint) {
+		stats: func(out map[string]float64) {
 			st := m.Stats()
-			sp.PhaseSwitches = st.PhaseSwitches
-			sp.Merges = st.Merges
-			sp.MergedOps = st.MergedOps
+			out["phase_switches"] = float64(st.PhaseSwitches)
+			out["merges"] = float64(st.Merges)
+			out["merged_ops"] = float64(st.MergedOps)
 		},
 		close: m.Close,
 	}
@@ -145,7 +103,7 @@ func dynamicStormVariant(base [][]byte) *stormVariant {
 			}
 			return out
 		},
-		stats: func(*stormPoint) {},
+		stats: func(map[string]float64) {}, // no phases to report
 		close: func() {},
 	}
 }
@@ -215,15 +173,14 @@ func e20() {
 		copy(text[i:], base[i/256%baseDict])
 	}
 
-	report := stormReport{
-		NumCPU: runtime.NumCPU(), Quick: *quick, Shards: nShards,
-		BaseDict: baseDict, TextLen: textLen, DurationMs: dur.Milliseconds(),
-	}
+	f := record("E20", map[string]any{
+		"shards": nShards, "base_dict": baseDict, "text_len": textLen,
+		"duration_ms": dur.Milliseconds(), "readers": readers,
+	})
 	fmt.Printf("%16s %9s %7s %12s %10s %10s %9s %7s %8s %6s\n",
 		"arm", "skew", "writers", "writes/s", "wp50 µs", "wp99 µs", "scans/s", "merges", "switches", "oracle")
 
 	writerCounts := []int{1, 4, 8}
-	maxW := writerCounts[len(writerCounts)-1]
 	arms := []struct {
 		name string
 		mk   func() *stormVariant
@@ -248,15 +205,16 @@ func e20() {
 					}
 				}
 				v := arm.mk()
-				p := runStormPoint(v, text, readers, ws, dur)
-				p.Skew = skew
-				p.OracleOK = stormOracleOK(v, base, ws)
+				m := runStormPoint(v, text, readers, ws, dur)
+				m["oracle_ok"] = 0
+				if stormOracleOK(v, base, ws) {
+					m["oracle_ok"] = 1
+				}
 				v.close()
-				report.Points = append(report.Points, p)
-				row("%16s %9s %7d %12.0f %10.2f %10.2f %9.0f %7d %8d %6v",
-					p.Arm, p.Skew, p.Writers, p.WritesPerSec,
-					p.WriteP50Us, p.WriteP99Us, p.ScansPerSec,
-					p.Merges, p.PhaseSwitches, p.OracleOK)
+				f.Add(arm.name, benchrow.Params{"skew": skew, "writers": nw}, runtime.GOMAXPROCS(0), 1, m)
+				row("%16s %9s %7d %12.0f %10.2f %10.2f %9.0f %7.0f %8.0f %6v",
+					arm.name, skew, nw, m["writes_per_sec"], m["write_p50_us"], m["write_p99_us"],
+					m["scans_per_sec"], m["merges"], m["phase_switches"], m["oracle_ok"] == 1)
 			}
 		}
 	}
@@ -265,20 +223,6 @@ func e20() {
 	fmt.Println("it barely degrades when every key hashes to one shard (the private logs never")
 	fmt.Println("see the shard lock). auto must track split under storm; every arm's quiesced")
 	fmt.Println("state must equal the oracle built from the writers' own liveness tracking.")
-
-	if *stormGuard {
-		guardStorm(&report, maxW)
-	}
-	if *stormOut == "" {
-		return
-	}
-	f, err := os.Create(*stormOut)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(report))
-	check(f.Close())
-	fmt.Printf("wrote %s\n", *stormOut)
 }
 
 // runStormPoint drives nw closed-loop toggle writers (each on its own
@@ -286,7 +230,7 @@ func e20() {
 // latency is sampled on every 8th write — a time.Now() pair costs a good
 // fraction of a split-phase append, so timing every op would bias the very
 // throughput ratio the sweep exists to measure.
-func runStormPoint(v *stormVariant, text []byte, readers int, ws []*stormKeys, dur time.Duration) stormPoint {
+func runStormPoint(v *stormVariant, text []byte, readers int, ws []*stormKeys, dur time.Duration) map[string]float64 {
 	var stop atomic.Bool
 	var scans, writes atomic.Int64
 	lats := make([][]time.Duration, len(ws))
@@ -330,32 +274,17 @@ func runStormPoint(v *stormVariant, text []byte, readers int, ws []*stormKeys, d
 	wg.Wait()
 	elapsed := time.Since(t0)
 
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
+	pct := percentilesUs(lats)
+	m := map[string]float64{
+		"writes":         float64(writes.Load()),
+		"writes_per_sec": float64(writes.Load()) / elapsed.Seconds(),
+		"write_p50_us":   pct(0.50),
+		"write_p99_us":   pct(0.99),
+		"scans":          float64(scans.Load()),
+		"scans_per_sec":  float64(scans.Load()) / elapsed.Seconds(),
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(q float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(all)-1))
-		return float64(all[i].Nanoseconds()) / 1e3
-	}
-	p := stormPoint{
-		Arm:          v.name,
-		Writers:      len(ws),
-		Readers:      readers,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Writes:       writes.Load(),
-		WritesPerSec: float64(writes.Load()) / elapsed.Seconds(),
-		WriteP50Us:   pct(0.50),
-		WriteP99Us:   pct(0.99),
-		Scans:        scans.Load(),
-		ScansPerSec:  float64(scans.Load()) / elapsed.Seconds(),
-	}
-	v.stats(&p)
-	return p
+	v.stats(m)
+	return m
 }
 
 // stormOracleOK quiesces the variant and compares its Match output,
@@ -411,43 +340,4 @@ func stormOracleOK(v *stormVariant, base [][]byte, ws []*stormKeys) bool {
 		}
 	}
 	return true
-}
-
-// guardStorm is the CI gate over the sweep. All thresholds are same-run
-// ratios between arms (as in the E18/E19 guards), so absolute writes/s
-// never crosses machines; correctness is absolute — every point's quiesced
-// state must equal its oracle.
-func guardStorm(cur *stormReport, maxWriters int) {
-	wps := func(arm, skew string) float64 {
-		for _, p := range cur.Points {
-			if p.Arm == arm && p.Skew == skew && p.Writers == maxWriters {
-				return p.WritesPerSec
-			}
-		}
-		return 0
-	}
-	ok := true
-	for _, skew := range []string{"uniform", "hotshard"} {
-		j, s := wps("sharded-joined", skew), wps("sharded-split", skew)
-		if j <= 0 || s < 2*j {
-			fmt.Printf("STORM GUARD FAIL: %s skew at %d writers: split %.0f writes/s vs joined %.0f (need ≥2x)\n",
-				skew, maxWriters, s, j)
-			ok = false
-		}
-	}
-	if u, h := wps("sharded-split", "uniform"), wps("sharded-split", "hotshard"); u <= 0 || h < 0.5*u {
-		fmt.Printf("STORM GUARD FAIL: hot-shard split collapses: %.0f writes/s vs uniform %.0f (need ≥0.5x)\n", h, u)
-		ok = false
-	}
-	for _, p := range cur.Points {
-		if !p.OracleOK {
-			fmt.Printf("STORM GUARD FAIL: %s %s writers=%d: quiesced state diverged from oracle\n",
-				p.Arm, p.Skew, p.Writers)
-			ok = false
-		}
-	}
-	if !ok {
-		os.Exit(1)
-	}
-	fmt.Println("storm guard: ok")
 }

@@ -21,9 +21,10 @@
 // highest offered level the server absorbed (achieved ≥95% of offered) while
 // meeting the SLO. Latency quantiles are reported overall and per request
 // kind (scan/mutate/stream), since a mutation-heavy mix can hide a slow
-// write path inside a healthy blended p99. The JSON report goes to -out
-// ("-" = stdout) and a one-line summary per level goes to stderr, ending in
-// "met=true|false" for scripts to grep.
+// write path inside a healthy blended p99. The report goes to -out ("-" =
+// stdout) in the internal/benchrow format, experiment E17, and a one-line
+// summary per level goes to stderr, ending in "met=true|false" for scripts
+// to grep.
 //
 // -preset writestorm reconfigures the mix for E20-style write storms:
 // mutation-dominated traffic (10,85,5), sharper tenant skew (zipf 1.4), and
@@ -48,11 +49,14 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"pardict/internal/benchrow"
 )
 
 func main() {
@@ -117,8 +121,8 @@ func main() {
 		levels = levels[:0]
 		for _, f := range strings.Split(*sweep, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v <= 0 {
-				log.Fatalf("bad -sweep level %q", f)
+			if err != nil || v <= 0 || slices.Contains(levels, v) {
+				log.Fatalf("bad or repeated -sweep level %q", f)
 			}
 			levels = append(levels, v)
 		}
@@ -129,113 +133,54 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report := loadReport{
-		Addr:      *addr,
-		NumCPU:    runtime.NumCPU(),
-		Preset:    *preset,
-		Tenants:   *tenants,
-		ZipfS:     *zipfS,
-		Mix:       *mix,
-		TextLen:   *textLen,
-		DurationS: duration.Seconds(),
-		TargetMs:  float64(sloTarget.Nanoseconds()) / 1e6,
-		Objective: *sloObj,
-	}
-	for _, lv := range levels {
-		res := runLevel(client, base, w, lv, *warmup, *duration, *sloTarget, *sloObj)
-		res.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		report.Levels = append(report.Levels, res)
-		fmt.Fprintf(os.Stderr,
-			"dictload: qps=%g achieved=%.1f reqs=%d errs=%d p50=%.2fms p99=%.2fms p999=%.2fms%s burn=%.2f met=%v\n",
-			lv, res.AchievedQPS, res.Requests, res.Errors,
-			res.P50Ms, res.P99Ms, res.P999Ms, kindSummary(res.Kinds), res.BurnRate, res.Met)
-	}
-
+	f := benchrow.New("E17", false, map[string]any{
+		"addr": *addr, "preset": *preset, "tenants": *tenants, "zipf_s": *zipfS, "mix": *mix,
+		"text_len": *textLen, "duration_s": duration.Seconds(),
+		"slo_target_ms": float64(sloTarget.Nanoseconds()) / 1e6, "slo_objective": *sloObj,
+	})
+	g := runtime.GOMAXPROCS(0)
 	// The maximum sustainable load: walking the (ascending) sweep, the last
 	// level that was both absorbed (achieved ≥95% of offered — an open-loop
 	// client that cannot push the bytes out is itself saturated) and inside
 	// the SLO, stopping at the first violation. A higher level that happens
 	// to meet the SLO after a lower one violated is luck, not capacity.
-	for _, lv := range report.Levels {
-		if !lv.Met || lv.AchievedQPS < 0.95*lv.OfferedQPS {
-			break
+	sustainable, capped := 0.0, false
+	for _, lv := range levels {
+		all, kinds := runLevel(client, base, w, lv, *warmup, *duration, *sloTarget, *sloObj)
+		params := benchrow.Params{"offered_qps": lv}
+		f.Add("all", params, g, 1, all)
+		var kindP99 strings.Builder // e.g. " scan_p99=1.20ms mutate_p99=0.40ms"
+		for _, k := range []string{"scan", "mutate", "stream"} {
+			if kinds[k] != nil {
+				f.Add(k, params, g, 1, kinds[k])
+				fmt.Fprintf(&kindP99, " %s_p99=%.2fms", k, kinds[k]["p99_ms"])
+			}
 		}
-		report.MaxSustainableQPS = lv.OfferedQPS
+		met := all["met"] == 1
+		fmt.Fprintf(os.Stderr,
+			"dictload: qps=%g achieved=%.1f reqs=%.0f errs=%.0f p50=%.2fms p99=%.2fms p999=%.2fms%s burn=%.2f met=%v\n",
+			lv, all["achieved_qps"], all["requests"], all["errors"],
+			all["p50_ms"], all["p99_ms"], all["p999_ms"], kindP99.String(), all["burn_rate"], met)
+		capped = capped || !met || all["achieved_qps"] < 0.95*lv
+		if !capped {
+			sustainable = lv
+		}
 	}
+	f.Add("all", benchrow.Params{}, g, 1, map[string]float64{"max_sustainable_qps": sustainable})
 	fmt.Fprintf(os.Stderr, "dictload: max sustainable qps=%g (target %v, objective %g)\n",
-		report.MaxSustainableQPS, *sloTarget, *sloObj)
+		sustainable, *sloTarget, *sloObj)
 
-	enc, err := json.MarshalIndent(report, "", "  ")
+	if *out != "-" {
+		if err := benchrow.Write(*out, f); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+	enc, err := benchrow.Marshal(f)
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// loadReport is the -out JSON document. GOMAXPROCS is recorded per level row
-// (the BENCH_*.json schema convention), never at the top level.
-type loadReport struct {
-	Addr              string        `json:"addr"`
-	NumCPU            int           `json:"num_cpu"`
-	Preset            string        `json:"preset,omitempty"`
-	Tenants           int           `json:"tenants"`
-	ZipfS             float64       `json:"zipf_s"`
-	Mix               string        `json:"mix"`
-	TextLen           int           `json:"text_len"`
-	DurationS         float64       `json:"duration_s"`
-	TargetMs          float64       `json:"slo_target_ms"`
-	Objective         float64       `json:"slo_objective"`
-	Levels            []levelResult `json:"levels"`
-	MaxSustainableQPS float64       `json:"max_sustainable_qps"`
-}
-
-type levelResult struct {
-	OfferedQPS  float64 `json:"offered_qps"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Requests    int     `json:"requests"`
-	Errors      int     `json:"errors"`
-	Scans       int     `json:"scans"`
-	Mutates     int     `json:"mutates"`
-	Streams     int     `json:"streams"`
-	P50Ms       float64 `json:"p50_ms"`
-	P90Ms       float64 `json:"p90_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	P999Ms      float64 `json:"p999_ms"`
-	MaxMs       float64 `json:"max_ms"`
-	BreachFrac  float64 `json:"breach_frac"`
-	BurnRate    float64 `json:"burn_rate"`
-	Met         bool    `json:"met"`
-	// Kinds breaks latency out per request kind; a mutate-heavy mix (e.g.
-	// -preset writestorm) can hide a slow write path inside the blended p99.
-	Kinds []kindResult `json:"kinds"`
-}
-
-type kindResult struct {
-	Kind   string  `json:"kind"` // "scan" | "mutate" | "stream"
-	Count  int     `json:"count"`
-	P50Ms  float64 `json:"p50_ms"`
-	P90Ms  float64 `json:"p90_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// kindSummary renders the per-kind p99s for the stderr one-liner, e.g.
-// " scan_p99=1.20ms mutate_p99=0.40ms". Kinds with no samples are omitted.
-func kindSummary(kinds []kindResult) string {
-	var b strings.Builder
-	for _, k := range kinds {
-		if k.Count > 0 {
-			fmt.Fprintf(&b, " %s_p99=%.2fms", k.Kind, k.P99Ms)
-		}
-	}
-	return b.String()
+	os.Stdout.Write(enc)
 }
 
 // parseMix turns "90,5,5" into scan/mutate/stream weights.
@@ -451,11 +396,14 @@ func post(client *http.Client, url, ctype string, body []byte, want int) bool {
 }
 
 // runLevel offers qps for warmup+duration and returns stats over the
-// measured window. Requests are dispatched at their scheduled arrival times;
-// latency for request i is measured from its scheduled arrival, so client or
-// server backlog is charged to the requests that queued behind it.
+// measured window: the whole mix, and each request kind that completed any
+// request (a mutate-heavy mix, e.g. -preset writestorm, can hide a slow write
+// path inside the blended p99). Requests are dispatched at their scheduled
+// arrival times; latency for request i is measured from its scheduled
+// arrival, so client or server backlog is charged to the requests that queued
+// behind it.
 func runLevel(client *http.Client, base string, w *workload, qps float64,
-	warmup, duration time.Duration, sloTarget time.Duration, sloObj float64) levelResult {
+	warmup, duration time.Duration, sloTarget time.Duration, sloObj float64) (all map[string]float64, kinds map[string]map[string]float64) {
 	interval := time.Duration(float64(time.Second) / qps)
 	total := warmup + duration
 	start := time.Now()
@@ -464,7 +412,7 @@ func runLevel(client *http.Client, base string, w *workload, qps float64,
 	var mu sync.Mutex
 	var lats []time.Duration
 	var kindLats [3][]time.Duration // indexed by opScan/opMutate/opStream
-	var errs, scans, mutates, streams int
+	var errs int
 	var firstDone, lastDone time.Time
 
 	var wg sync.WaitGroup
@@ -498,58 +446,51 @@ func runLevel(client *http.Client, base string, w *workload, qps float64,
 			}
 			lats = append(lats, lat)
 			kindLats[op] = append(kindLats[op], lat)
-			switch op {
-			case opScan:
-				scans++
-			case opMutate:
-				mutates++
-			default:
-				streams++
-			}
 		}(sched, tenant, op)
 	}
 	wg.Wait()
 
-	res := levelResult{OfferedQPS: qps, Requests: len(lats), Errors: errs,
-		Scans: scans, Mutates: mutates, Streams: streams}
-	if len(lats) == 0 {
-		return res
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	q := func(p float64) float64 {
-		i := int(p * float64(len(lats)-1))
-		return float64(lats[i].Nanoseconds()) / 1e6
-	}
-	res.P50Ms, res.P90Ms, res.P99Ms, res.P999Ms = q(0.50), q(0.90), q(0.99), q(0.999)
-	res.MaxMs = float64(lats[len(lats)-1].Nanoseconds()) / 1e6
+	all = quantiles(lats)
+	all["requests"], all["errors"] = float64(len(lats)), float64(errs)
+	kinds = map[string]map[string]float64{}
 	for op, name := range []string{"scan", "mutate", "stream"} {
-		kl := kindLats[op]
-		kr := kindResult{Kind: name, Count: len(kl)}
-		if len(kl) > 0 {
-			sort.Slice(kl, func(i, j int) bool { return kl[i] < kl[j] })
-			kq := func(p float64) float64 {
-				i := int(p * float64(len(kl)-1))
-				return float64(kl[i].Nanoseconds()) / 1e6
-			}
-			kr.P50Ms, kr.P90Ms, kr.P99Ms, kr.P999Ms = kq(0.50), kq(0.90), kq(0.99), kq(0.999)
-			kr.MaxMs = float64(kl[len(kl)-1].Nanoseconds()) / 1e6
+		all[name+"s"] = float64(len(kindLats[op])) // scans, mutates, streams
+		if len(kindLats[op]) > 0 {
+			kinds[name] = quantiles(kindLats[op])
 		}
-		res.Kinds = append(res.Kinds, kr)
+	}
+	all["achieved_qps"], all["breach_frac"], all["burn_rate"], all["met"] = 0, 0, 0, 0
+	if len(lats) == 0 {
+		return all, kinds
 	}
 	if span := lastDone.Sub(firstDone); span > 0 {
-		res.AchievedQPS = float64(len(lats)+errs-1) / span.Seconds()
+		all["achieved_qps"] = float64(len(lats)+errs-1) / span.Seconds()
 	}
-	breaches := 0
+	breaches := errs // a failed request is never "within target"
 	for _, l := range lats {
 		if l > sloTarget {
 			breaches++
 		}
 	}
-	breaches += errs // a failed request is never "within target"
-	res.BreachFrac = float64(breaches) / float64(len(lats)+errs)
-	res.BurnRate = res.BreachFrac / (1 - sloObj)
-	res.Met = res.BurnRate <= 1.0
-	return res
+	all["breach_frac"] = float64(breaches) / float64(len(lats)+errs)
+	all["burn_rate"] = all["breach_frac"] / (1 - sloObj)
+	if all["burn_rate"] <= 1.0 {
+		all["met"] = 1
+	}
+	return all, kinds
+}
+
+// quantiles sorts lats and returns its p50/p90/p99/p999/max in ms (zeros
+// when empty).
+func quantiles(lats []time.Duration) map[string]float64 {
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	at := func(p float64) float64 {
+		if len(lats) == 0 {
+			return 0
+		}
+		return float64(lats[int(p*float64(len(lats)-1))].Nanoseconds()) / 1e6
+	}
+	return map[string]float64{"p50_ms": at(0.50), "p90_ms": at(0.90), "p99_ms": at(0.99), "p999_ms": at(0.999), "max_ms": at(1)}
 }
 
 // waitHealthy polls /healthz until it answers 200 or the deadline passes.

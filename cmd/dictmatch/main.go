@@ -12,7 +12,7 @@
 // Usage:
 //
 //	dictmatch -dict patterns.txt [-text input.txt] [-engine auto|general|smallalpha|equallength]
-//	          [-alphabet acgt] [-collapse L] [-procs N] [-prefilter off|wide|scalar|auto]
+//	          [-alphabet acgt] [-collapse L] [-procs N] [-prefilter off|wide|auto]
 //	          [-all] [-stats] [-count] [-compressed] [-compress out.lzc]
 package main
 
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		alphabet   = fs.String("alphabet", "", "restrict to this byte alphabet (enables smallalpha)")
 		collapse   = fs.Int("collapse", 0, "collapse parameter L for smallalpha (0 = auto)")
 		procs      = fs.Int("procs", 0, "parallelism (0 = GOMAXPROCS)")
-		prefilt    = fs.String("prefilter", "off", "off|wide|scalar|auto: screen text positions before the cascade (general engine)")
+		prefilt    = fs.String("prefilter", "off", "off|wide|auto: screen text positions before the cascade (general engine)")
 		all        = fs.Bool("all", false, "print all patterns per position, not just the longest")
 		stats      = fs.Bool("stats", false, "print PRAM work/depth statistics")
 		countOn    = fs.Bool("count", false, "print only the number of matching positions")
@@ -135,8 +135,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "off":
 	case "wide", "on":
 		opts = append(opts, pardict.WithPrefilter(pardict.PrefilterOn))
-	case "scalar":
-		opts = append(opts, pardict.WithPrefilter(pardict.PrefilterScalar))
 	case "auto":
 		opts = append(opts, pardict.WithPrefilter(pardict.PrefilterAuto))
 	default:

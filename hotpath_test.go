@@ -43,7 +43,7 @@ func TestPrefilterOutputEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	filtered := map[string]*Matcher{}
-	for name, mode := range map[string]PrefilterMode{"wide": PrefilterOn, "scalar": PrefilterScalar} {
+	for name, mode := range map[string]PrefilterMode{"wide": PrefilterOn, "scalar": prefilterScalar} {
 		filtered[name], err = NewMatcher(patterns, WithEngine(EngineGeneral), WithPrefilter(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func TestMatchZeroAllocs(t *testing.T) {
 	}{
 		{"plain", []Option{WithEngine(EngineGeneral), WithParallelism(1)}},
 		{"prefilter-wide", []Option{WithEngine(EngineGeneral), WithParallelism(1), WithPrefilter(PrefilterOn)}},
-		{"prefilter-scalar", []Option{WithEngine(EngineGeneral), WithParallelism(1), WithPrefilter(PrefilterScalar)}},
+		{"prefilter-scalar", []Option{WithEngine(EngineGeneral), WithParallelism(1), WithPrefilter(prefilterScalar)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := NewMatcher(patterns, tc.opts...)
@@ -213,7 +213,7 @@ func BenchmarkHotPathMatch(b *testing.B) {
 	}{
 		{"plain", []Option{WithEngine(EngineGeneral)}},
 		{"prefilter-wide", []Option{WithEngine(EngineGeneral), WithPrefilter(PrefilterOn)}},
-		{"prefilter-scalar", []Option{WithEngine(EngineGeneral), WithPrefilter(PrefilterScalar)}},
+		{"prefilter-scalar", []Option{WithEngine(EngineGeneral), WithPrefilter(prefilterScalar)}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			m, err := NewMatcher(patterns, tc.opts...)

@@ -162,7 +162,7 @@ func (m *Matcher) applyPrefilter() {
 	if m.general == nil || m.cfg.prefilter == PrefilterOff {
 		return
 	}
-	if m.cfg.prefilter == PrefilterScalar {
+	if m.cfg.prefilter == prefilterScalar {
 		m.general.EnablePrefilter()
 	} else {
 		m.general.EnablePrefilterWide()

@@ -98,14 +98,14 @@ const (
 	// (estimated pass rate on random text below 25%, judged on the wide
 	// screen's bucket tables).
 	PrefilterAuto
-	// PrefilterScalar always filters with the scalar SWAR screen (one
-	// position per step against full 64-bit rare-offset bucket masks). The
-	// two screens bucket patterns differently, so neither admits a subset
-	// of the other; the scalar screen is retained as the differential
-	// oracle the wide kernel is tested against, and as the conservative
-	// choice for pattern sets whose prefixes collide badly under the wide
-	// screen's 8-bucket hashing.
-	PrefilterScalar
+
+	// prefilterScalar always filters with the scalar SWAR screen (one
+	// position per step against full 64-bit rare-offset bucket masks). It
+	// is a test seam, not an API mode: the two screens bucket patterns
+	// differently, so neither admits a subset of the other, and tests run
+	// the cascade behind the scalar screen as the differential oracle for
+	// the wide one.
+	prefilterScalar
 )
 
 // String names the mode.
@@ -117,8 +117,6 @@ func (p PrefilterMode) String() string {
 		return "wide"
 	case PrefilterAuto:
 		return "auto"
-	case PrefilterScalar:
-		return "scalar"
 	}
 	return fmt.Sprintf("PrefilterMode(%d)", int(p))
 }
