@@ -5,18 +5,26 @@
 // "optimal speedup" for the parallel algorithms (§1), and the correctness
 // oracle for the engines on large randomized inputs.
 //
-// The goto function is stored in CSR (compressed sparse row) form: one row
-// of sorted (symbol, child) pairs per state in two shared contiguous arrays,
-// with the fail/out/outLink/depth attributes in parallel structure-of-arrays
-// layout. The automaton is built through a transient open-addressed edge map
-// and frozen before the failure-link BFS, so the scan loop performs no hash
-// lookups and no per-node allocation at all.
+// States are numbered in breadth-first order, root 0: the trie is built one
+// depth at a time through a transient open-addressed edge map, so every
+// state's failure link points to a smaller id. The goto function is stored in
+// CSR (compressed sparse row) form: one row of sorted (symbol, child) pairs
+// per state in two shared contiguous arrays, with the failure links and
+// output chains in parallel arrays, so the scan loop performs no hash lookups
+// and no per-node allocation at all.
+//
+// NewDFA also compiles the automaton for raw bytes, the streaming kernel:
+// bytes fold into classes, and the shallowest states get a dense row of
+// δ(v, c) — one table read per byte — filled during the failure-link pass,
+// until a byte budget is spent. Deeper states keep their sparse row and
+// failure link.
 package ahocorasick
 
 import (
 	"errors"
 	"sort"
 
+	"pardict/internal/alpha"
 	"pardict/internal/flathash"
 )
 
@@ -31,90 +39,295 @@ type Automaton struct {
 	rowStart []int32
 	syms     []int32
 	to       []int32
-	// Per-state attributes (structure of arrays).
 	fail     []int32
-	out      []int32 // pattern ending exactly here, or -1
-	outLink  []int32 // nearest state on the failure chain with out >= 0, or -1
-	depth    []int32
-	patterns [][]int32
+	// Output chains: emit[v] is the longest pattern ending at state v (its
+	// own, or one reached through failure links), or -1; shorter[p] is the
+	// next shorter pattern ending where p ends, or -1; plen[p] is p's length.
+	emit    []int32
+	shorter []int32
+	plen    []int32
+}
+
+// DFA is an Automaton compiled for scanning raw bytes. It is immutable after
+// NewDFA and safe for concurrent use.
+type DFA struct {
+	Automaton
+	class [256]uint16 // byte -> class; class 0 labels no edge and leads to the root
+	sym   [256]int32  // byte -> symbol, for the sparse rows
+	nc    int         // classes, including class 0
+	dense int32       // states [0, dense) have a table row
+	delta []int32     // delta[v*nc+c] = δ(v, c) for v < dense
 }
 
 // New builds the automaton for the given patterns. Duplicate patterns keep
 // the first index (consistent with the engines rejecting duplicates; the
 // oracle tolerates them for robustness).
 func New(patterns [][]int32) (*Automaton, error) {
-	a := &Automaton{patterns: patterns}
-	var edges flathash.Map[int32]
-	edgeKey := func(u, s int32) uint64 {
-		return uint64(uint32(u))<<32 | uint64(uint32(s))
+	d, err := build(patterns, nil, 0)
+	if err != nil {
+		return nil, err
 	}
-	a.out = append(a.out, -1)
-	a.depth = append(a.depth, 0)
-	for pi, p := range patterns {
+	return &d.Automaton, nil
+}
+
+// NewDFA builds the automaton for patterns encoded by enc and compiles it
+// for scanning the raw bytes enc encodes. Every symbol that labels an edge
+// and that some byte encodes to gets its own class; all other bytes,
+// including those outside a dense encoder's alphabet, share class 0. States
+// get dense rows of one int32 per class, shallowest first, while the table
+// stays within budget bytes; deeper states step through their sparse row and
+// failure link.
+func NewDFA(patterns [][]int32, enc *alpha.Encoder, budget int) (*DFA, error) {
+	return build(patterns, enc, budget)
+}
+
+func build(patterns [][]int32, enc *alpha.Encoder, budget int) (*DFA, error) {
+	d := &DFA{}
+	d.plen = make([]int32, len(patterns))
+	for i, p := range patterns {
 		if len(p) == 0 {
 			return nil, ErrEmptyPattern
 		}
-		cur := int32(0)
-		for _, s := range p {
-			nxt, ok := edges.Get(edgeKey(cur, s))
-			if !ok {
-				nxt = int32(len(a.out))
-				a.out = append(a.out, -1)
-				a.depth = append(a.depth, a.depth[cur]+1)
-				edges.Put(edgeKey(cur, s), nxt)
-			}
-			cur = nxt
-		}
-		if a.out[cur] < 0 {
-			a.out[cur] = int32(pi)
-		}
+		d.plen[i] = int32(len(p))
 	}
-	a.freezeEdges(&edges)
-	a.buildFailure()
-	return a, nil
+	own, parent, edgeSym := insert(patterns)
+	d.freezeEdges(parent, edgeSym)
+	var edgeClass []int32
+	if enc != nil {
+		edgeClass = d.classify(enc)
+		d.dense = int32(min(len(own), budget/(4*d.nc)))
+		d.delta = make([]int32, int(d.dense)*d.nc)
+	}
+	d.link(own, edgeClass)
+	return d, nil
 }
 
-// freezeEdges converts the build-time edge map into the CSR arrays: count
-// edges per state, prefix-sum into row starts, scatter, then sort each row by
-// symbol so step can binary-search it.
-func (a *Automaton) freezeEdges(edges *flathash.Map[int32]) {
-	n := len(a.out)
-	counts := make([]int32, n)
-	edges.Range(func(k uint64, _ int32) bool {
-		counts[int32(k>>32)]++
-		return true
-	})
-	a.rowStart = make([]int32, n+1)
-	var total int32
-	for u, c := range counts {
-		a.rowStart[u] = total
-		total += c
+// insert builds the trie one depth at a time, so that ids follow breadth-
+// first order. For each state v it returns v's own pattern (the first index
+// among duplicates, or -1) and the parent and symbol of v's incoming edge.
+func insert(patterns [][]int32) (own, parent, sym []int32) {
+	total := 0 // edges: at most one per pattern symbol
+	for _, p := range patterns {
+		total += len(p)
 	}
-	a.rowStart[n] = total
-	a.syms = make([]int32, total)
-	a.to = make([]int32, total)
-	fill := append([]int32(nil), a.rowStart[:n]...)
-	edges.Range(func(k uint64, v int32) bool {
-		u := int32(k >> 32)
-		i := fill[u]
-		a.syms[i] = int32(uint32(k))
-		a.to[i] = v
-		fill[u]++
-		return true
-	})
+	edges := flathash.New[int32](total)
+	own = append(make([]int32, 0, total+1), -1)
+	parent = append(make([]int32, 0, total+1), -1)
+	sym = append(make([]int32, 0, total+1), -1)
+	cur := make([]int32, len(patterns))
+	active := make([]int32, len(patterns))
+	for i := range active {
+		active[i] = int32(i)
+	}
+	for k := 0; len(active) > 0; k++ {
+		live := active[:0]
+		for _, i := range active {
+			p := patterns[i]
+			key := uint64(uint32(cur[i]))<<32 | uint64(uint32(p[k]))
+			v, ok := edges.Get(key)
+			if !ok {
+				v = int32(len(own))
+				own = append(own, -1)
+				parent = append(parent, cur[i])
+				sym = append(sym, p[k])
+				edges.Put(key, v)
+			}
+			cur[i] = v
+			if len(p) > k+1 {
+				live = append(live, i)
+			} else if own[v] < 0 {
+				own[v] = i
+			}
+		}
+		active = live
+	}
+	return own, parent, sym
+}
+
+// freezeEdges converts the edge list into the CSR arrays: count edges per
+// state, prefix-sum into row starts, scatter, then sort each row by symbol
+// so gotoChild can binary-search it.
+func (d *DFA) freezeEdges(parent, sym []int32) {
+	n := len(parent)
+	d.rowStart = make([]int32, n+1)
+	for v := 1; v < n; v++ {
+		d.rowStart[parent[v]+1]++
+	}
 	for u := 0; u < n; u++ {
-		lo, hi := a.rowStart[u], a.rowStart[u+1]
-		sort.Sort(acRow{syms: a.syms[lo:hi], to: a.to[lo:hi]})
+		d.rowStart[u+1] += d.rowStart[u]
+	}
+	d.syms = make([]int32, n-1)
+	d.to = make([]int32, n-1)
+	fill := append([]int32(nil), d.rowStart[:n]...)
+	for v := 1; v < n; v++ {
+		i := fill[parent[v]]
+		fill[parent[v]]++
+		d.syms[i] = sym[v]
+		d.to[i] = int32(v)
+	}
+	var row acRow
+	for u := 0; u < n; u++ {
+		lo, hi := d.rowStart[u], d.rowStart[u+1]
+		if hi-lo > 1 {
+			row.syms, row.to = d.syms[lo:hi], d.to[lo:hi]
+			sort.Sort(&row)
+		}
 	}
 }
 
 type acRow struct{ syms, to []int32 }
 
-func (r acRow) Len() int           { return len(r.syms) }
-func (r acRow) Less(i, j int) bool { return r.syms[i] < r.syms[j] }
-func (r acRow) Swap(i, j int) {
+func (r *acRow) Len() int           { return len(r.syms) }
+func (r *acRow) Less(i, j int) bool { return r.syms[i] < r.syms[j] }
+func (r *acRow) Swap(i, j int) {
 	r.syms[i], r.syms[j] = r.syms[j], r.syms[i]
 	r.to[i], r.to[j] = r.to[j], r.to[i]
+}
+
+// classify folds the byte alphabet into classes: each symbol that labels an
+// edge and that some byte encodes to gets a class, numbered from 1 in edge
+// order. It returns every edge's class, or -1 where no byte encodes to the
+// edge's symbol (such an edge is never taken by a byte scan).
+func (d *DFA) classify(enc *alpha.Encoder) []int32 {
+	var all [256]byte
+	for b := range all {
+		all[b] = byte(b)
+	}
+	copy(d.sym[:], enc.Encode(all[:]))
+	var classOf [256]int32 // encoder symbol (always below 256) -> class; -1: no byte
+	for s := range classOf {
+		classOf[s] = -1
+	}
+	for _, s := range d.sym {
+		if s >= 0 {
+			classOf[s] = 0
+		}
+	}
+	d.nc = 1
+	edgeClass := make([]int32, len(d.syms))
+	for i, s := range d.syms {
+		c := int32(-1)
+		if s >= 0 && s < int32(len(classOf)) && classOf[s] >= 0 {
+			if classOf[s] == 0 {
+				classOf[s] = int32(d.nc)
+				d.nc++
+			}
+			c = classOf[s]
+		}
+		edgeClass[i] = c
+	}
+	for b, s := range d.sym {
+		if s >= 0 {
+			d.class[b] = uint16(classOf[s])
+		}
+	}
+	return edgeClass
+}
+
+// link computes failure links and output chains in one pass over the states
+// in id (breadth-first) order, and fills the table rows on the way: a dense
+// state's row is its failure state's row with its own edges written over
+// it, and the failure link of its child on class c is one read of that same
+// failure row. edgeClass is nil when there is no table.
+func (d *DFA) link(own, edgeClass []int32) {
+	n := int32(len(own))
+	d.fail = make([]int32, n)
+	d.emit = make([]int32, n)
+	d.shorter = make([]int32, len(d.plen))
+	for i := range d.shorter {
+		d.shorter[i] = -1
+	}
+	nc := d.nc
+	for u := int32(0); u < n; u++ {
+		f := d.fail[u]
+		inherited := int32(-1)
+		if u > 0 {
+			inherited = d.emit[f]
+		}
+		d.emit[u] = inherited
+		if p := own[u]; p >= 0 {
+			d.emit[u] = p
+			d.shorter[p] = inherited
+		}
+		var row []int32
+		if u < d.dense {
+			row = d.delta[int(u)*nc : int(u+1)*nc]
+			if u > 0 {
+				copy(row, d.delta[int(f)*nc:int(f+1)*nc])
+			}
+		}
+		for i := d.rowStart[u]; i < d.rowStart[u+1]; i++ {
+			v, c := d.to[i], int32(-1)
+			if edgeClass != nil {
+				c = edgeClass[i]
+			}
+			if u > 0 {
+				d.fail[v] = d.next(f, d.syms[i], c)
+			}
+			if row != nil && c >= 0 {
+				row[c] = v
+			}
+		}
+	}
+}
+
+// next returns δ(f, s), where c is s's class (-1 when no byte encodes to s):
+// one read of f's table row when it has one, and otherwise the classic walk
+// along failure links until a state with a row or an edge on s.
+func (d *DFA) next(f, s, c int32) int32 {
+	for {
+		if f < d.dense && c >= 0 {
+			return d.delta[int(f)*d.nc+int(c)]
+		}
+		if v := d.gotoChild(f, s); v >= 0 {
+			return v
+		}
+		if f == 0 {
+			return 0
+		}
+		f = d.fail[f]
+	}
+}
+
+// TableBytes reports the size of the dense transition table.
+func (d *DFA) TableBytes() int { return 4 * len(d.delta) }
+
+// Scan is the streaming kernel. It advances the automaton from state cur
+// across text, whose bytes sit at absolute stream positions base, base+1, …,
+// and returns the state that resumes a later call. The longest pattern
+// starting at position p is recorded in ring[p&mask] (mask = len(ring)-1;
+// len(ring) must be a power of two), and each slot is reset to -1 when its
+// position is scanned, before any update can target it.
+//
+// Ring-reuse contract: a slot is valid from the moment its position is
+// scanned until a younger position aliases it, so len(ring) must be at least
+// the span from the oldest position the caller still intends to read through
+// the newest position scanned. Callers must also guarantee that no match
+// starts before the oldest readable position (for a stream resumed across
+// emissions that holds whenever at least maxLen-1 trailing positions stay
+// unread between calls).
+func (d *DFA) Scan(cur int32, text []byte, base int64, ring []int32) int32 {
+	mask := int64(len(ring) - 1)
+	delta, emit, shorter, plen := d.delta, d.emit, d.shorter, d.plen
+	nc, dense := d.nc, d.dense
+	for j, b := range text {
+		pos := base + int64(j)
+		ring[pos&mask] = -1
+		if c := int(d.class[b]); cur < dense {
+			cur = delta[int(cur)*nc+c]
+		} else if c == 0 {
+			cur = 0
+		} else {
+			cur = d.next(cur, d.sym[b], int32(c))
+		}
+		// Occurrences sharing a start are found in increasing length (their
+		// ends are scanned in order), so the last write to a slot is the
+		// longest pattern starting there.
+		for p := emit[cur]; p >= 0; p = shorter[p] {
+			ring[(pos-int64(plen[p])+1)&mask] = p
+		}
+	}
+	return cur
 }
 
 // gotoChild returns the goto target of state u on symbol s, or -1, via binary
@@ -135,51 +348,8 @@ func (a *Automaton) gotoChild(u, s int32) int32 {
 	return -1
 }
 
-// buildFailure computes failure and output links in BFS order over the CSR
-// rows (already sorted by symbol, so the traversal is deterministic without
-// any per-node key sorting or allocation).
-func (a *Automaton) buildFailure() {
-	n := len(a.out)
-	a.fail = make([]int32, n)
-	a.outLink = make([]int32, n)
-	for u := range a.outLink {
-		a.outLink[u] = -1
-	}
-	queue := make([]int32, 0, n)
-	for i := a.rowStart[0]; i < a.rowStart[1]; i++ {
-		queue = append(queue, a.to[i])
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		if f := a.fail[u]; a.out[f] >= 0 {
-			a.outLink[u] = f
-		} else {
-			a.outLink[u] = a.outLink[f]
-		}
-		for i := a.rowStart[u]; i < a.rowStart[u+1]; i++ {
-			s, v := a.syms[i], a.to[i]
-			f := a.fail[u]
-			for f != 0 {
-				if w := a.gotoChild(f, s); w >= 0 {
-					f = w
-					goto set
-				}
-				f = a.fail[f]
-			}
-			if w := a.gotoChild(0, s); w >= 0 && w != v {
-				f = w
-			} else {
-				f = 0
-			}
-		set:
-			a.fail[v] = f
-			queue = append(queue, v)
-		}
-	}
-}
-
 // States reports the number of automaton states (trie nodes).
-func (a *Automaton) States() int { return len(a.out) }
+func (a *Automaton) States() int { return len(a.emit) }
 
 // step advances from state cur on symbol s.
 func (a *Automaton) step(cur int32, s int32) int32 {
@@ -201,15 +371,7 @@ func (a *Automaton) LongestMatchEnding(text []int32) []int32 {
 	cur := int32(0)
 	for j, s := range text {
 		cur = a.step(cur, s)
-		m := int32(-1)
-		v := cur
-		if a.out[v] < 0 {
-			v = a.outLink[v]
-		}
-		if v >= 0 {
-			m = a.out[v]
-		}
-		out[j] = m
+		out[j] = a.emit[cur]
 	}
 	return out
 }
@@ -232,58 +394,14 @@ func (a *Automaton) LongestMatchStarting(text []int32) []int32 {
 		// longer pattern ending later could also start there; but any
 		// pattern starting at position p is seen when its end is reached,
 		// so taking max over ends covers all starts.
-		v := cur
-		if a.out[v] < 0 {
-			v = a.outLink[v]
-		}
-		for v >= 0 {
-			pi := a.out[v]
-			start := j - len(a.patterns[pi]) + 1
-			if out[start] < 0 || len(a.patterns[pi]) > len(a.patterns[out[start]]) {
+		for pi := a.emit[cur]; pi >= 0; pi = a.shorter[pi] {
+			start := j - int(a.plen[pi]) + 1
+			if out[start] < 0 || a.plen[pi] > a.plen[out[start]] {
 				out[start] = pi
 			}
-			v = a.outLink[v]
 		}
 	}
 	return out
-}
-
-// ScanLongest is the resumable form of LongestMatchStarting: it advances the
-// automaton from state cur across syms, which the caller places at absolute
-// stream positions base, base+1, … The longest pattern starting at position p
-// is recorded in ring[p&mask] (mask = len(ring)-1; len(ring) must be a power
-// of two), using the same update rule as LongestMatchStarting; each slot is
-// reset to -1 when its position is scanned, before any update can target it.
-// The returned state resumes a later call.
-//
-// Ring-reuse contract: a slot is valid from the moment its position is
-// scanned until a younger position aliases it, so len(ring) must be at least
-// the span from the oldest position the caller still intends to read through
-// the newest position scanned. Callers must also guarantee that no match
-// starts before the oldest readable position (for a stream resumed across
-// emissions that holds whenever at least maxLen-1 trailing positions stay
-// unread between calls).
-func (a *Automaton) ScanLongest(cur int32, syms []int32, base int64, ring []int32) int32 {
-	mask := int64(len(ring) - 1)
-	for j, s := range syms {
-		pos := base + int64(j)
-		ring[pos&mask] = -1
-		cur = a.step(cur, s)
-		v := cur
-		if a.out[v] < 0 {
-			v = a.outLink[v]
-		}
-		for v >= 0 {
-			pi := a.out[v]
-			plen := len(a.patterns[pi])
-			slot := (pos - int64(plen) + 1) & mask
-			if q := ring[slot]; q < 0 || plen > len(a.patterns[q]) {
-				ring[slot] = pi
-			}
-			v = a.outLink[v]
-		}
-	}
-	return cur
 }
 
 // AllMatches invokes f(start, patternIndex) for every occurrence of every
@@ -292,14 +410,8 @@ func (a *Automaton) AllMatches(text []int32, f func(start int, pat int32)) {
 	cur := int32(0)
 	for j, s := range text {
 		cur = a.step(cur, s)
-		v := cur
-		if a.out[v] < 0 {
-			v = a.outLink[v]
-		}
-		for v >= 0 {
-			pi := a.out[v]
-			f(j-len(a.patterns[pi])+1, pi)
-			v = a.outLink[v]
+		for pi := a.emit[cur]; pi >= 0; pi = a.shorter[pi] {
+			f(j-int(a.plen[pi])+1, pi)
 		}
 	}
 }

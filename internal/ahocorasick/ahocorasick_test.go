@@ -2,8 +2,10 @@ package ahocorasick
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"pardict/internal/alpha"
 	"pardict/internal/naive"
 )
 
@@ -137,5 +139,63 @@ func TestStates(t *testing.T) {
 	}
 	if a.States() != 4 { // root, a, ab, ac
 		t.Fatalf("states = %d", a.States())
+	}
+}
+
+// TestDFAConcurrentScan has several goroutines scan one shared DFA at once,
+// each into its own ring, at budgets from none to every row, and requires
+// each ring to hold LongestMatchStarting's answer. Bytes outside the dense
+// encoder's alphabet must lead back to the root.
+func TestDFAConcurrentScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	enc, err := alpha.NewDenseEncoder([]byte("acgt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pats [][]int32
+	seen := map[string]bool{}
+	for len(pats) < 60 {
+		p := make([]byte, 1+rng.Intn(9))
+		for i := range p {
+			p[i] = "acgt"[rng.Intn(4)]
+		}
+		if !seen[string(p)] {
+			seen[string(p)] = true
+			pats = append(pats, enc.Encode(p))
+		}
+	}
+	text := make([]byte, 4096)
+	for i := range text {
+		text[i] = "acgtacgtacgtN"[rng.Intn(13)]
+	}
+	ring := 1
+	for ring < len(text) {
+		ring <<= 1
+	}
+	for _, budget := range []int{0, 100, 1000, 1 << 20} {
+		d, err := NewDFA(pats, enc, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.TableBytes() > budget {
+			t.Fatalf("budget %d: table %d bytes", budget, d.TableBytes())
+		}
+		want := d.LongestMatchStarting(enc.Encode(text))
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := make([]int32, ring)
+				d.Scan(0, text, 0, got)
+				for j := range text {
+					if got[j] != want[j] {
+						t.Errorf("budget %d pos %d: %d, want %d", budget, j, got[j], want[j])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -156,6 +156,12 @@ func (d *Dict) Pattern(i int) []int32 { return d.patterns[i] }
 // PrefixName returns the name of P_i(1..l); l must be in [1, len(P_i)].
 func (d *Dict) PrefixName(i, l int) int32 { return d.pn[i][l-1] }
 
+// RepPattern returns the representative pattern of a prefix name: one
+// pattern i with PrefixName(i, NameLen(name)) == name. Giving each name's
+// writes to its representative alone keeps a parallel per-pattern scan free
+// of the concurrent writes other patterns sharing the prefix would make.
+func (d *Dict) RepPattern(name int32) int32 { return d.repPat[name] }
+
 // NameLen returns the prefix length encoded by name.
 func (d *Dict) NameLen(name int32) int32 {
 	if name == naming.Empty {
@@ -335,8 +341,10 @@ func (d *Dict) indexPatterns(c *pram.Ctx) error {
 	}
 
 	// Longest-pattern-prefix per name via per-pattern left-to-right scans.
-	// Writers racing on a shared prefix write identical values (equal
-	// content ⇒ equal chain), the benign concurrent write of the CRCW model.
+	// Every pattern sharing a prefix computes the same value for its name
+	// (equal content ⇒ equal chain) — the CRCW model's benign common write —
+	// but Go has no such write, so only the name's representative pattern
+	// stores it.
 	c.For(np, func(i int) {
 		carry := int32(-1)
 		row := d.pn[i]
@@ -345,7 +353,9 @@ func (d *Dict) indexPatterns(c *pram.Ctx) error {
 			if p := d.patOfName[name]; p >= 0 {
 				carry = p
 			}
-			d.lp[name] = carry
+			if d.repPat[name] == int32(i) {
+				d.lp[name] = carry
+			}
 		}
 	})
 	c.AddWork(int64(d.totalSize()) - int64(np))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"pardict/internal/naming"
 	"pardict/internal/pram"
@@ -168,13 +169,15 @@ func Load(c *pram.Ctx, r io.Reader) (*Dict, error) {
 	d.levels = int(levels)
 	d.nameCount = int(nameCount)
 
-	d.patterns = make([][]int32, np)
-	for i := range d.patterns {
+	// Every slice grows as its elements arrive, never by a declared count:
+	// the stream may come from the network, and a forged count must not cost
+	// more memory than the bytes actually sent.
+	for i := uint32(0); i < np; i++ {
 		p, err := readInt32s(br)
 		if err != nil {
 			return nil, err
 		}
-		d.patterns[i] = p
+		d.patterns = append(d.patterns, p)
 	}
 	d.pn = make([][]int32, np)
 	for i := range d.pn {
@@ -228,11 +231,7 @@ func readInt32s(r io.Reader) ([]int32, error) {
 	if n > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible array length %d", ErrBadFormat, n)
 	}
-	xs := make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, xs); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return xs, nil
+	return readSlice[int32](r, int(n))
 }
 
 func readTable(c *pram.Ctx, r io.Reader) (*naming.Frozen, error) {
@@ -243,13 +242,13 @@ func readTable(c *pram.Ctx, r io.Reader) (*naming.Frozen, error) {
 	if n > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible table size %d", ErrBadFormat, n)
 	}
-	keys := make([]uint64, n)
-	if err := binary.Read(r, binary.LittleEndian, keys); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	keys, err := readSlice[uint64](r, int(n))
+	if err != nil {
+		return nil, err
 	}
-	vals := make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	vals, err := readSlice[int32](r, int(n))
+	if err != nil {
+		return nil, err
 	}
 	for _, v := range vals {
 		if v < 0 {
@@ -257,4 +256,22 @@ func readTable(c *pram.Ctx, r io.Reader) (*naming.Frozen, error) {
 		}
 	}
 	return naming.Freeze(c, naming.BuildTable(c, keys, vals)), nil
+}
+
+// readChunk bounds how many elements readSlice allocates ahead of the bytes
+// read.
+const readChunk = 1 << 14
+
+// readSlice reads n little-endian values, growing the slice as they arrive,
+// so a forged count costs memory in proportion to the bytes actually present.
+func readSlice[T int32 | uint64](r io.Reader, n int) ([]T, error) {
+	var xs []T
+	for len(xs) < n {
+		k := min(n-len(xs), readChunk)
+		xs = slices.Grow(xs, k)[:len(xs)+k]
+		if err := binary.Read(r, binary.LittleEndian, xs[len(xs)-k:]); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		}
+	}
+	return xs, nil
 }

@@ -162,7 +162,10 @@ func New(c *pram.Ctx, patterns [][]int32, sigma, l int) (*Matcher, error) {
 			if p := isPat[name]; p >= 0 {
 				carry = p
 			}
-			m.lpD[name] = carry
+			// Strings sharing the prefix compute the same value; one writer.
+			if m.dictP.RepPattern(name) == int32(i) {
+				m.lpD[name] = carry
+			}
 		}
 	})
 
@@ -290,7 +293,11 @@ func (m *Matcher) buildBlocks(c *pram.Ctx, pstrs [][]int32) error {
 	c.For(len(primeSrc), func(pi int) {
 		i := primeSrc[pi]
 		for b := 1; b <= len(m.dictPrime.Pattern(pi)); b++ {
-			m.mapPrime[m.dictPrime.PrefixName(pi, b)] = m.dictP.PrefixName(i, b*l)
+			// Strings sharing a 𝒫'-prefix map it to the same 𝒫-prefix; only
+			// the name's representative writes it.
+			if name := m.dictPrime.PrefixName(pi, b); m.dictPrime.RepPattern(name) == int32(pi) {
+				m.mapPrime[name] = m.dictP.PrefixName(i, b*l)
+			}
 		}
 	})
 	return nil

@@ -12,7 +12,11 @@
 // a block matcher over the carry would. Feeding a stream byte-by-byte
 // therefore costs O(1) amortized per byte, not O(MaxLen).
 //
-// Per-stream state is O(carry): the unemitted byte buffer, one saved
+// The Core compiles the automaton into a byte-class transition table
+// (ahocorasick.DFA) that folds in the alphabet encoder, so a session steps
+// its raw buffered bytes with one table read each; the table is capped at
+// tableBudget bytes, and states past the cap keep a sparse row and failure
+// link. Per-stream state is O(carry): the unemitted byte buffer, one saved
 // automaton state, and a position ring holding the longest pending pattern
 // per unemitted start position. The output (longest pattern per start
 // position, the paper's §2 format) is byte-for-byte the block matcher's,
@@ -28,21 +32,33 @@ import (
 // sized so positions index them by masking.
 const ringMin = 16
 
+// tableBudget caps a Core's dense transition table. Breadth-first rows for
+// a dictionary over 48 byte classes cost 192 bytes each, so the cap holds
+// about 5,000 states' rows at that width — every state of a 500-pattern log
+// dictionary — and about 1,000 rows when patterns use all 256 byte values.
+const tableBudget = 1 << 20
+
 // Core is the immutable, shareable part of streaming state: the sequential
-// automaton compiled from the dictionary plus the alphabet encoder. One Core
+// automaton compiled from the dictionary into a byte-class table. One Core
 // serves any number of concurrent Sessions.
 type Core struct {
-	ac        *ahocorasick.Automaton
-	enc       *alpha.Encoder
+	dfa       *ahocorasick.DFA
 	maxLen    int
 	hold      int // trailing bytes withheld until more input decides them
 	ringFloor int // steady-state ring size: pow2 ≥ max(maxLen, ringMin)
 }
 
-// NewCore compiles the streaming core for an encoded dictionary. The encoded
-// patterns must be non-empty (the public constructors already enforce that).
+// NewCore compiles the streaming core for a dictionary encoded by enc. The
+// encoded patterns must be non-empty (the public constructors already
+// enforce that).
 func NewCore(encoded [][]int32, enc *alpha.Encoder) (*Core, error) {
-	ac, err := ahocorasick.New(encoded)
+	return newCore(encoded, enc, tableBudget)
+}
+
+// newCore is NewCore with the table budget as a parameter, so tests can
+// force most states onto the sparse path.
+func newCore(encoded [][]int32, enc *alpha.Encoder, budget int) (*Core, error) {
+	dfa, err := ahocorasick.NewDFA(encoded, enc, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +72,7 @@ func NewCore(encoded [][]int32, enc *alpha.Encoder) (*Core, error) {
 	if hold < 0 {
 		hold = 0
 	}
-	return &Core{ac: ac, enc: enc, maxLen: maxLen, hold: hold,
+	return &Core{dfa: dfa, maxLen: maxLen, hold: hold,
 		ringFloor: pow2ceil(max(maxLen, ringMin))}, nil
 }
 
@@ -66,9 +82,6 @@ func (c *Core) MaxLen() int { return c.maxLen }
 // Hold reports how many trailing bytes a session withholds from emission
 // (MaxLen-1): a position's longest match is decided by the next MaxLen bytes.
 func (c *Core) Hold() int { return c.hold }
-
-// States reports the automaton size (for observability).
-func (c *Core) States() int { return c.ac.States() }
 
 // NewSession returns a fresh stream over the core, positioned at offset 0.
 func (c *Core) NewSession() *Session {
@@ -94,8 +107,7 @@ type Session struct {
 	scanned int   // carry[:scanned] is behind the automaton state
 	state   int32
 	ring    []int32
-	enc     []int32 // reusable per-scan symbol buffer
-	total   int64   // lifetime bytes stepped through the automaton
+	total   int64 // lifetime bytes stepped through the automaton
 }
 
 // Buffer appends chunk to the stream without scanning it. Cheap and
@@ -123,8 +135,7 @@ func (s *Session) Scan(limit int) int {
 		n = limit
 	}
 	s.ensureRing(s.scanned + n)
-	s.enc = s.core.enc.EncodeInto(s.enc, s.carry[s.scanned:s.scanned+n])
-	s.state = s.core.ac.ScanLongest(s.state, s.enc, s.offset+int64(s.scanned), s.ring)
+	s.state = s.core.dfa.Scan(s.state, s.carry[s.scanned:s.scanned+n], s.offset+int64(s.scanned), s.ring)
 	s.scanned += n
 	s.total += int64(n)
 	return n

@@ -1,11 +1,14 @@
 package streamcore
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"pardict/internal/ahocorasick"
 	"pardict/internal/alpha"
+	"pardict/internal/naive"
 )
 
 func mustCore(t *testing.T, pats ...string) *Core {
@@ -32,7 +35,7 @@ type scHit struct {
 func oracle(t *testing.T, c *Core, text []byte) []scHit {
 	t.Helper()
 	enc := alpha.NewByteEncoder()
-	out := c.ac.LongestMatchStarting(enc.Encode(text))
+	out := c.dfa.LongestMatchStarting(enc.Encode(text))
 	var hits []scHit
 	for j, p := range out {
 		if p >= 0 {
@@ -292,25 +295,165 @@ func TestEmptyDictionary(t *testing.T) {
 	s.Flush(func(int64, int) { t.Fatal("emit on empty dictionary") })
 }
 
-// Guard against accidental misuse of the internal automaton helper: the ring
-// update rule must agree with LongestMatchStarting on overlapping patterns.
-func TestScanLongestAgainstReference(t *testing.T) {
-	enc := alpha.NewByteEncoder()
-	pats := [][]int32{enc.Encode([]byte("aaa")), enc.Encode([]byte("aa")), enc.Encode([]byte("a"))}
-	ac, err := ahocorasick.New(pats)
-	if err != nil {
-		t.Fatal(err)
+// tableCase is one dictionary for TestTableScanMatchesOracle: patterns and
+// text over an encoder's alphabet, the text possibly holding bytes outside it.
+type tableCase struct {
+	name string
+	enc  *alpha.Encoder
+	pats [][]byte
+	text []byte
+}
+
+// tableCases builds dictionaries over σ ∈ {2, 4, 26, 256} — random ones,
+// nested and periodic ones, and one using all 256 byte values, which needs
+// 257 classes with the no-edge class — with texts that plant pattern
+// occurrences, and for the dense encoders sprinkle out-of-alphabet bytes.
+func tableCases(t *testing.T, rng *rand.Rand) []tableCase {
+	t.Helper()
+	dense := func(sigma string) *alpha.Encoder {
+		e, err := alpha.NewDenseEncoder([]byte(sigma))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	text := enc.Encode([]byte("aaaaa"))
-	want := ac.LongestMatchStarting(text)
-	ring := make([]int32, 8)
-	for i := range ring {
-		ring[i] = -1
+	word := func(sigma string, n int) []byte {
+		w := make([]byte, n)
+		for i := range w {
+			w[i] = sigma[rng.Intn(len(sigma))]
+		}
+		return w
 	}
-	ac.ScanLongest(0, text, 0, ring)
-	for j := range text {
-		if ring[j] != want[j] {
-			t.Fatalf("pos %d: ring %d want %d", j, ring[j], want[j])
+	randomDict := func(sigma string, np, maxLen int) [][]byte {
+		seen := map[string]bool{}
+		var pats [][]byte
+		for len(pats) < np {
+			p := word(sigma, 1+rng.Intn(maxLen))
+			if !seen[string(p)] {
+				seen[string(p)] = true
+				pats = append(pats, p)
+			}
+		}
+		return pats
+	}
+	// text mixes alphabet bytes, planted patterns and, when foreign is
+	// non-empty, about one byte in ten from outside the alphabet.
+	text := func(sigma, foreign string, pats [][]byte, n int) []byte {
+		var out []byte
+		for len(out) < n {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				out = append(out, pats[rng.Intn(len(pats))]...)
+			case r == 4 && foreign != "":
+				out = append(out, foreign[rng.Intn(len(foreign))])
+			default:
+				out = append(out, word(sigma, 1+rng.Intn(4))...)
+			}
+		}
+		return out
+	}
+	const foreign = "N\n\xffA-"
+	alphabets := map[int]string{2: "ab", 4: "acgt", 26: "abcdefghijklmnopqrstuvwxyz"}
+	var cases []tableCase
+	for _, sigma := range []int{2, 4, 26} {
+		a := alphabets[sigma]
+		pats := randomDict(a, 40, 12)
+		cases = append(cases, tableCase{fmt.Sprintf("random-σ%d", sigma), dense(a), pats, text(a, foreign, pats, 6000)})
+	}
+
+	var all []byte
+	for b := 0; b < 256; b++ {
+		all = append(all, byte(b))
+	}
+	pats := randomDict(string(all), 60, 10)
+	seen := map[string]bool{}
+	for _, p := range pats {
+		seen[string(p)] = true
+	}
+	for b := 0; b < 256; b++ {
+		if p := []byte{byte(b), byte(255 - b), byte(b)}; !seen[string(p)] {
+			pats = append(pats, p)
+		}
+	}
+	cases = append(cases, tableCase{"all-bytes-σ256", alpha.NewByteEncoder(), pats, text(string(all), "", pats, 8000)})
+
+	var nested [][]byte
+	for l := 1; l <= 24; l++ {
+		nested = append(nested, bytes.Repeat([]byte("a"), l))
+	}
+	nested = append(nested, []byte("ab"), []byte("aab"))
+	cases = append(cases, tableCase{"nested-σ2", dense("ab"), nested, text("aaaaaaaab", foreign, nested, 6000)})
+
+	var periodic [][]byte
+	for k := 1; k <= 8; k++ {
+		periodic = append(periodic, bytes.Repeat([]byte("ac"), k), bytes.Repeat([]byte("acg"), k))
+	}
+	periodic = append(periodic, []byte("aca"), []byte("cac"), []byte("gac"))
+	cases = append(cases, tableCase{"periodic-σ4", dense("acgt"), periodic, text("acgt", foreign, periodic, 6000)})
+	return cases
+}
+
+// TestTableScanMatchesOracle drives sessions over the byte-class table at
+// the production budget, at an eighth of the production table (most states
+// sparse) and at zero (no rows at all), under random chunkings and segment
+// limits, against LongestMatchStarting of a separately built automaton fed
+// the encoded text, itself checked against brute force. The table must never
+// exceed its budget.
+func TestTableScanMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, tc := range tableCases(t, rng) {
+		encoded := make([][]int32, len(tc.pats))
+		for i, p := range tc.pats {
+			e, err := tc.enc.EncodePattern(p)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			encoded[i] = e
+		}
+		ac, err := ahocorasick.New(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The oracle automaton shares its build with the kernel, so pin it
+		// to the brute-force answer first.
+		textSyms := tc.enc.Encode(tc.text)
+		longest, brute := ac.LongestMatchStarting(textSyms), naive.LongestPattern(encoded, textSyms)
+		var want []scHit
+		for j, p := range longest {
+			if p != brute[j] {
+				t.Fatalf("%s: oracle pos %d: %d, brute force %d", tc.name, j, p, brute[j])
+			}
+			if p >= 0 {
+				want = append(want, scHit{int64(j), int(p)})
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: vacuous workload", tc.name)
+		}
+		prod, err := newCore(encoded, tc.enc, tableBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{tableBudget, prod.dfa.TableBytes() / 8, 0} {
+			c, err := newCore(encoded, tc.enc, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.dfa.TableBytes(); got > budget {
+				t.Fatalf("%s: table %d bytes over budget %d", tc.name, got, budget)
+			}
+			for trial := 0; trial < 4; trial++ {
+				var chunks []int
+				for rem := len(tc.text); rem > 0; {
+					n := 1 + rng.Intn(200)
+					chunks = append(chunks, n)
+					rem -= n
+				}
+				seg := []int{0, 1, 13, 64}[trial]
+				if got := feedAll(t, c, tc.text, chunks, seg); !sameSC(got, want) {
+					t.Fatalf("%s budget %d trial %d: %d hits, want %d", tc.name, budget, trial, len(got), len(want))
+				}
+			}
 		}
 	}
 }

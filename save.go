@@ -9,6 +9,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"pardict/internal/core"
 )
@@ -184,10 +185,11 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 	if np > 1<<28 {
 		return nil, fmt.Errorf("pardict: load: implausible pattern count %d", np)
 	}
+	// Slices grow as patterns arrive, never by the declared counts: the
+	// stream may come from the network, and a forged header must not cost
+	// more memory than the bytes actually sent.
 	m := &Matcher{cfg: cfg, enc: enc, engine: EngineGeneral}
-	m.patterns = make([][]byte, np)
-	m.encoded = make([][]int32, np)
-	for i := range m.patterns {
+	for i := uint32(0); i < np; i++ {
 		var l uint32
 		if err := binary.Read(cr, binary.LittleEndian, &l); err != nil {
 			return nil, fmt.Errorf("pardict: load: %w", err)
@@ -195,16 +197,16 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 		if l > 1<<28 {
 			return nil, fmt.Errorf("pardict: load: implausible pattern length %d", l)
 		}
-		p := make([]byte, l)
-		if _, err := io.ReadFull(cr, p); err != nil {
+		p, err := readBytes(cr, uint64(l))
+		if err != nil {
 			return nil, fmt.Errorf("pardict: load: %w", err)
 		}
-		m.patterns[i] = p
 		e, err := enc.EncodePattern(p)
 		if err != nil {
 			return nil, err
 		}
-		m.encoded[i] = e
+		m.patterns = append(m.patterns, p)
+		m.encoded = append(m.encoded, e)
 		if len(p) > m.maxLen {
 			m.maxLen = len(p)
 		}
@@ -220,8 +222,8 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 		if engLen > 1<<31 {
 			return nil, fmt.Errorf("pardict: load: implausible engine payload size %d", engLen)
 		}
-		blob := make([]byte, engLen)
-		if _, err := io.ReadFull(cr, blob); err != nil {
+		blob, err := readBytes(cr, engLen)
+		if err != nil {
 			return nil, fmt.Errorf("pardict: load: %w: truncated engine payload (%w)", ErrCorruptSave, err)
 		}
 		// Verify before compiling: the checksum (read around the hashing
@@ -249,4 +251,25 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 	m.applyPrefilter()
 	m.buildStats = statsOf(ctx)
 	return m, nil
+}
+
+// readChunk bounds how far readBytes allocates ahead of the bytes read.
+const readChunk = 1 << 16
+
+// readBytes reads exactly n bytes, growing the buffer as they arrive, so a
+// forged length costs memory in proportion to the bytes actually present.
+func readBytes(r io.Reader, n uint64) ([]byte, error) {
+	var b []byte
+	for uint64(len(b)) < n {
+		k := readChunk
+		if rest := n - uint64(len(b)); rest < readChunk {
+			k = int(rest)
+		}
+		b = slices.Grow(b, k)
+		if _, err := io.ReadFull(r, b[len(b):len(b)+k]); err != nil {
+			return nil, err
+		}
+		b = b[:len(b)+k]
+	}
+	return b, nil
 }

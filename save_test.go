@@ -2,7 +2,9 @@ package pardict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"pardict/internal/workload"
@@ -225,4 +227,74 @@ func TestSaveV2EmptyDictionaryChecksum(t *testing.T) {
 	if _, err := LoadMatcher(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSave) {
 		t.Fatalf("empty corrupt: %v", err)
 	}
+}
+
+// TestLoadAllocatesByBytesRead feeds LoadMatcher short streams whose counts
+// and lengths claim far more data than follows — as a forged /reload body
+// would — and requires an error with under 1 MiB allocated, in both the
+// matcher's own sections and the engine payload.
+func TestLoadAllocatesByBytesRead(t *testing.T) {
+	le := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint32(b, uint32(w))
+		}
+		return b
+	}
+	// A version-1 engine payload starts with its own header: magic,
+	// version, maxLen, levels, nameCount and pattern count.
+	const dictMagic, dictVersion = 0x70644431, 1
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"2^28 patterns", le(matcherMagic, matcherVersion, 0, 1<<28)},
+		{"pattern of 2^28 bytes", le(matcherMagic, matcherVersion, 0, 1, 1<<28)},
+		{"engine payload of 2^31 bytes", binary.LittleEndian.AppendUint64(le(matcherMagic, matcherVersion, 0, 0), 1<<31)},
+		{"engine with 2^31 patterns", le(matcherMagic, matcherVersionV1, 0, 0, dictMagic, dictVersion, 1, 1, 0, 1<<31)},
+		{"engine array of 2^28", le(matcherMagic, matcherVersionV1, 0, 0, dictMagic, dictVersion, 1, 1, 0, 1, 1<<28)},
+		{"engine table of 2^28", le(matcherMagic, matcherVersionV1, 0, 0, dictMagic, dictVersion, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1<<28)},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadMatcher(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: loaded without error", c.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Fatalf("%s: allocated %d bytes for a %d-byte stream", c.name, d, len(c.data))
+		}
+	}
+}
+
+// FuzzLoadMatcher feeds LoadMatcher arbitrary bytes, as /reload does with a
+// request body. It must return an error or a matcher, never panic or abort;
+// a stream it accepts must round-trip its pattern list through Save. The
+// checked-in seeds are a version-2 stream, a version-1 stream and a header
+// declaring 2^28 patterns.
+func FuzzLoadMatcher(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadMatcher(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("save of a loaded matcher: %v", err)
+		}
+		again, err := LoadMatcher(&buf)
+		if err != nil {
+			t.Fatalf("load of a fresh save: %v", err)
+		}
+		if again.PatternCount() != m.PatternCount() {
+			t.Fatalf("round trip: %d patterns, want %d", again.PatternCount(), m.PatternCount())
+		}
+		for i := 0; i < m.PatternCount(); i++ {
+			if !bytes.Equal(again.Pattern(i), m.Pattern(i)) {
+				t.Fatalf("round trip: pattern %d is %q, want %q", i, again.Pattern(i), m.Pattern(i))
+			}
+		}
+	})
 }

@@ -271,6 +271,12 @@ func (st *ServerStream) CloseContext(gctx context.Context) error {
 	st.mu.Unlock()
 	if first {
 		srv.markReady(st)
+		// Like FeedContext, a context dead on entry does not wait: the
+		// dispatcher may already have flushed, and the select below would
+		// pick between the two at random.
+		if cerr := gctx.Err(); cerr != nil {
+			return fmt.Errorf("%w: %w", ErrCanceled, cerr)
+		}
 	}
 	select {
 	case <-st.done:
@@ -399,13 +405,17 @@ func (st *ServerStream) process(tr *trace.T) {
 	if finish {
 		st.ses.Scan(0)
 		st.ses.Flush(st.emit)
-		close(st.done)
+	}
+	srv.carryBytes.Add(int64(st.ses.Pending() - pend0))
+	if finish {
+		// Account for the close before waking Close, so Stats read after
+		// Close returns already counts it.
 		srv.closedCount.Inc()
 		srv.mu.Lock()
 		srv.sessions--
 		srv.mu.Unlock()
+		close(st.done)
 	}
-	srv.carryBytes.Add(int64(st.ses.Pending() - pend0))
 	if leftover {
 		srv.markReady(st)
 	}
