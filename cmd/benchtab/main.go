@@ -156,10 +156,13 @@ func e1() {
 	fmt.Println("             steals/grain come from the scheduler counters, not the cost model.")
 }
 
-// e2: Theorem 3 — dictionary preprocessing work is Θ(M).
+// e2: Theorem 3 — dictionary preprocessing work is Θ(M). Beside the counted
+// work it prints the wall clock of the same Preprocess call per pattern
+// symbol at one and two processors (best of three each).
 func e2() {
 	header("E2", "Theorem 3: preprocessing work = Θ(M), depth = Θ(log m)")
-	fmt.Printf("%10s %6s %14s %8s %8s\n", "M", "m", "work", "work/M", "depth")
+	fmt.Printf("%10s %6s %14s %8s %8s %10s %10s %7s\n",
+		"M", "m", "work", "work/M", "depth", "ns/sym g1", "ns/sym g2", "g2/g1")
 	for _, logM := range []int{12, 14, 16, 18, 20} {
 		M := 1 << logM
 		if *quick && M > 1<<16 {
@@ -174,9 +177,20 @@ func e2() {
 		for _, p := range pats {
 			total += len(p)
 		}
-		row("%10d %6d %14d %8.2f %8d", total, m, c.Work(), float64(c.Work())/float64(total), c.Depth())
+		wall := func(procs int) float64 {
+			cp := pram.New(procs)
+			best := bestOf(3, func() {
+				_, err := core.Preprocess(cp, pats)
+				check(err)
+			})
+			return float64(best.Nanoseconds()) / float64(total)
+		}
+		g1, g2 := wall(1), wall(2)
+		row("%10d %6d %14d %8.2f %8d %10.1f %10.1f %7.2f", total, m, c.Work(),
+			float64(c.Work())/float64(total), c.Depth(), g1, g2, g2/g1)
 	}
-	fmt.Println("shape check: work/M is ~constant as M grows 256-fold.")
+	fmt.Println("shape check: work/M is ~constant as M grows 256-fold; ns/sym is the wall clock")
+	fmt.Println("             of the same build, which a g2/g1 ratio below 1 shows scaling.")
 }
 
 // e3: headline claim — per-character matching cost independent of M,

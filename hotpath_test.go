@@ -263,8 +263,8 @@ func TestPrefilterSchedulerStats(t *testing.T) {
 	}
 }
 
-// TestRejectDuplicatesWitness: the sort-based duplicate detector must report
-// the same witness the historic insertion-order map scan did — the earliest
+// TestRejectDuplicatesWitness: the sorted chain pass must report the same
+// duplicate witness the historic insertion-order map scan did — the earliest
 // second occurrence, paired with that pattern's first index.
 func TestRejectDuplicatesWitness(t *testing.T) {
 	cases := []struct {
@@ -277,7 +277,7 @@ func TestRejectDuplicatesWitness(t *testing.T) {
 		{[][]int32{{7}, {8}, {9}, {7}, {8}}, 0, 3}, // earliest second occurrence wins
 	}
 	for i, tc := range cases {
-		err := rejectDuplicates(tc.encoded)
+		_, err := prefixChain(tc.encoded)
 		de, ok := err.(*core.DuplicateError)
 		if !ok {
 			t.Fatalf("case %d: got %v, want DuplicateError", i, err)
@@ -286,7 +286,7 @@ func TestRejectDuplicatesWitness(t *testing.T) {
 			t.Fatalf("case %d: witness (%d,%d), want (%d,%d)", i, de.First, de.Second, tc.first, tc.second)
 		}
 	}
-	if err := rejectDuplicates([][]int32{{1}, {2}, {1, 2}}); err != nil {
+	if _, err := prefixChain([][]int32{{1}, {2}, {1, 2}}); err != nil {
 		t.Fatalf("distinct patterns rejected: %v", err)
 	}
 }

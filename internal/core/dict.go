@@ -219,8 +219,8 @@ func (d *Dict) upsweep(c *pram.Ctx, patterns [][]int32) [][][]int32 {
 				keys[base+t/2] = naming.EncodePair(row[t], row[t+1])
 			}
 		})
-		names, _ := naming.BatchName(c, keys)
-		d.up[k] = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, distinct := naming.BatchName(c, keys)
+		d.up[k] = naming.FreezeKeys(c, keys, names, distinct)
 
 		cur := make([][]int32, np)
 		c.For(np, func(i int) {
@@ -258,7 +258,7 @@ func (d *Dict) downsweep(c *pram.Ctx, patterns [][]int32, blocks [][][]int32) {
 		total := c.ExclusiveScanInt(counts[:np])
 		counts[np] = total
 		if total == 0 {
-			d.down[k] = naming.Freeze(c, naming.NewTable(c))
+			d.down[k] = naming.FreezeKeys(c, nil, nil, 0)
 			continue
 		}
 
@@ -291,7 +291,7 @@ func (d *Dict) downsweep(c *pram.Ctx, patterns [][]int32, blocks [][][]int32) {
 		})
 		vals := make([]int32, total)
 		c.For(total, func(e int) { vals[e] = base + names[e] })
-		d.down[k] = naming.Freeze(c, naming.BuildTable(c, keys, vals))
+		d.down[k] = naming.FreezeKeys(c, keys, vals, distinct)
 
 		newLen := make([]int32, distinct)
 		newRep := make([]int32, distinct)

@@ -16,7 +16,7 @@ import (
 // once and shipped (the use case: large signature databases distributed to
 // scanners). The format is a little-endian sequence of sections with a
 // magic/version header and a length-prefixed layout; tables are stored as
-// flat key/value arrays and rebuilt into sharded maps on load (in parallel).
+// flat key/value arrays and refilled into frozen tables on load.
 //
 // The format makes no cross-version promises beyond the embedded version
 // byte: Load rejects unknown versions.
@@ -113,13 +113,7 @@ func writeInt32s(w io.Writer, xs []int32) error {
 	return binary.Write(w, binary.LittleEndian, xs)
 }
 
-// tableView abstracts Table and Frozen for serialization.
-type tableView interface {
-	Len() int
-	Range(func(k uint64, v int32) bool)
-}
-
-func writeTable(w io.Writer, t tableView) error {
+func writeTable(w io.Writer, t *naming.Frozen) error {
 	n := t.Len()
 	if err := binary.Write(w, binary.LittleEndian, uint32(n)); err != nil {
 		return err
@@ -138,7 +132,7 @@ func writeTable(w io.Writer, t tableView) error {
 }
 
 // Load reads a dictionary previously written by Save. Table reconstruction
-// runs on c's pool.
+// is charged to c.
 func Load(c *pram.Ctx, r io.Reader) (*Dict, error) {
 	br := bufio.NewReader(r)
 	var magic, version uint32
@@ -255,7 +249,9 @@ func readTable(c *pram.Ctx, r io.Reader) (*naming.Frozen, error) {
 			return nil, fmt.Errorf("%w: negative table value", ErrBadFormat)
 		}
 	}
-	return naming.Freeze(c, naming.BuildTable(c, keys, vals)), nil
+	// A saved table holds each key once; a forged stream may repeat keys,
+	// which len(keys) still bounds (the first value wins).
+	return naming.FreezeKeys(c, keys, vals, len(keys)), nil
 }
 
 // readChunk bounds how many elements readSlice allocates ahead of the bytes

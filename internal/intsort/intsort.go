@@ -22,25 +22,35 @@ type Pair struct {
 }
 
 // Sort stably sorts ps by Key using LSD radix passes over only the digit
-// positions that vary (determined by the OR of all keys). Each pass is a
-// counting sort parallelized over input chunks.
+// positions that vary: a digit equal in every key (found from the OR and the
+// AND of all keys) would leave the order unchanged, so its pass is skipped.
+// Pair keys from naming, whose high bytes are mostly zero or all-ones, skip
+// most of their eight passes. Each pass is a counting sort parallelized over
+// input chunks.
 func Sort(c *pram.Ctx, ps []Pair) {
 	n := len(ps)
 	if n <= 1 {
 		return
 	}
-	var or uint64
+	or, and := uint64(0), ^uint64(0)
 	for _, p := range ps {
 		or |= p.Key
+		and &= p.Key
 	}
+	vary := or ^ and
 	c.AddWork(int64(n))
 	c.AddDepth(1)
 
-	tmp := make([]Pair, n)
-	src, dst := ps, tmp
-	for shift := 0; shift < 64; shift += radixBits {
-		if or>>shift == 0 || c.Canceled() {
+	var src, dst []Pair = ps, nil
+	for shift := 0; shift < 64 && vary>>shift != 0; shift += radixBits {
+		if (vary>>shift)&radixMask == 0 {
+			continue
+		}
+		if c.Canceled() {
 			break
+		}
+		if dst == nil {
+			dst = make([]Pair, n)
 		}
 		countingPass(c, src, dst, shift)
 		src, dst = dst, src

@@ -75,6 +75,50 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
+// TestSortSkipsConstantDigits: a digit equal in every key costs no pass, so
+// keys that differ only in their low two bytes cost the same counted work
+// whatever constant bytes sit above them (the shape of pair keys whose high
+// name is Empty, all ones), and still sort stably.
+func TestSortSkipsConstantDigits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 5000
+	low := make([]Pair, n)
+	high := make([]Pair, n)
+	for i := range low {
+		k := uint64(rng.Intn(1 << 16))
+		low[i] = Pair{Key: k, Idx: int32(i)}
+		high[i] = Pair{Key: 0xFFFFFFFE_00A50000 | k, Idx: int32(i)}
+	}
+	work := func(ps []Pair) int64 {
+		c := pram.New(1)
+		Sort(c, ps)
+		for i := 1; i < len(ps); i++ {
+			a, b := ps[i-1], ps[i]
+			if a.Key > b.Key || (a.Key == b.Key && a.Idx > b.Idx) {
+				t.Fatalf("unsorted or unstable at %d: %+v then %+v", i, a, b)
+			}
+		}
+		return c.Work()
+	}
+	if wl, wh := work(low), work(high); wl != wh {
+		t.Fatalf("work with constant high bytes = %d, want %d (the low-bytes-only sort)", wh, wl)
+	}
+	same := make([]Pair, n)
+	for i := range same {
+		same[i] = Pair{Key: 42, Idx: int32(i)}
+	}
+	c := pram.New(1)
+	Sort(c, same)
+	if c.Work() != int64(n) {
+		t.Fatalf("equal keys: work %d, want %d (the digit scan alone)", c.Work(), n)
+	}
+	for i, p := range same {
+		if p.Idx != int32(i) {
+			t.Fatalf("equal keys reordered at %d: %+v", i, p)
+		}
+	}
+}
+
 func TestSortUint64(t *testing.T) {
 	c := pram.New(0)
 	keys := []uint64{5, 3, 3, 99, 0, 1 << 60}

@@ -135,8 +135,8 @@ func (mm *Matcher) build(c *pram.Ctx, dict [][]int32) []int32 {
 			keys1[(2*j+1)*half+t] = naming.EncodePair(p[2*t], p[1+2*t])
 		}
 	})
-	names1, _ := naming.BatchName(c, keys1)
-	lv.pair1 = naming.Freeze(c, naming.BuildTable(c, keys1, names1))
+	names1, n1 := naming.BatchName(c, keys1)
+	lv.pair1 = naming.FreezeKeys(c, keys1, names1, n1)
 
 	quarter := lv.mPrime
 	keys2 := make([]uint64, 2*nd*quarter)
@@ -145,8 +145,8 @@ func (mm *Matcher) build(c *pram.Ctx, dict [][]int32) []int32 {
 			keys2[r*quarter+t] = naming.EncodePair(names1[r*half+2*t], names1[r*half+2*t+1])
 		}
 	})
-	names2, _ := naming.BatchName(c, keys2)
-	lv.pair2 = naming.Freeze(c, naming.BuildTable(c, keys2, names2))
+	names2, n2 := naming.BatchName(c, keys2)
+	lv.pair2 = naming.FreezeKeys(c, keys2, names2, n2)
 
 	// Shrunk dictionary: 2 strings per pattern (P^s at 2j, P^p at 2j+1).
 	shrunk := make([][]int32, 2*nd)
@@ -169,30 +169,31 @@ func (mm *Matcher) build(c *pram.Ctx, dict [][]int32) []int32 {
 	c.For(nd, func(j int) {
 		k1[j] = naming.EncodePair(betaPrime[2*j+1], resP[j])
 	})
-	t1, _ := naming.BatchName(c, k1)
-	lv.tb1 = naming.Freeze(c, naming.BuildTable(c, k1, t1))
+	t1, nt1 := naming.BatchName(c, k1)
+	lv.tb1 = naming.FreezeKeys(c, k1, t1, nt1)
 	k2 := make([]uint64, nd)
 	c.For(nd, func(j int) {
 		k2[j] = naming.EncodePair(t1[j], dict[j][lambda-1])
 	})
-	beta, _ := naming.BatchName(c, k2)
-	lv.tb2 = naming.Freeze(c, naming.BuildTable(c, k2, beta))
+	beta, nbeta := naming.BatchName(c, k2)
+	lv.tb2 = naming.FreezeKeys(c, k2, beta, nbeta)
 
 	// --- Step 3c tables: (betaPrime(P^s'), resName(P^s)) and first symbol.
 	k3 := make([]uint64, nd)
 	c.For(nd, func(j int) {
 		k3[j] = naming.EncodePair(betaPrime[2*j], resS[j])
 	})
-	u1, _ := naming.BatchName(c, k3)
-	lv.tc1 = naming.Freeze(c, naming.BuildTable(c, k3, u1))
+	u1, nu1 := naming.BatchName(c, k3)
+	lv.tc1 = naming.FreezeKeys(c, k3, u1, nu1)
 	k4 := make([]uint64, nd)
 	c.For(nd, func(j int) {
 		k4[j] = naming.EncodePair(u1[j], dict[j][0])
 	})
 	// Values must be the SAME beta names as step 3a: name the (u1, first)
 	// tuple set by stamping it with beta (the tuples are in bijection with
-	// patterns, and equal patterns produce equal tuples and equal betas).
-	lv.tc2 = naming.Freeze(c, naming.BuildTable(c, k4, beta))
+	// patterns, and equal patterns produce equal tuples and equal betas, so
+	// there are as many distinct tuples as betas).
+	lv.tc2 = naming.FreezeKeys(c, k4, beta, nbeta)
 
 	return beta
 }
@@ -217,8 +218,8 @@ func (mm *Matcher) buildResidueTables(c *pram.Ctx, lv *level, dict [][]int32, re
 			keys[2*j] = naming.EncodePair(dict[j][1+off], dict[j][2+off])
 			keys[2*j+1] = naming.EncodePair(dict[j][off], dict[j][1+off])
 		})
-		names, _ := naming.BatchName(c, keys)
-		lv.res2 = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, n := naming.BatchName(c, keys)
+		lv.res2 = naming.FreezeKeys(c, keys, names, n)
 		c.For(nd, func(j int) { resS[j] = names[2*j]; resP[j] = names[2*j+1] })
 	case 3:
 		keys := make([]uint64, 2*nd)
@@ -226,15 +227,15 @@ func (mm *Matcher) buildResidueTables(c *pram.Ctx, lv *level, dict [][]int32, re
 			keys[2*j] = naming.EncodePair(dict[j][1+off], dict[j][2+off])
 			keys[2*j+1] = naming.EncodePair(dict[j][off], dict[j][1+off])
 		})
-		names, _ := naming.BatchName(c, keys)
-		lv.res2 = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, n := naming.BatchName(c, keys)
+		lv.res2 = naming.FreezeKeys(c, keys, names, n)
 		keys3 := make([]uint64, 2*nd)
 		c.For(nd, func(j int) {
 			keys3[2*j] = naming.EncodePair(names[2*j], dict[j][3+off])
 			keys3[2*j+1] = naming.EncodePair(names[2*j+1], dict[j][2+off])
 		})
-		names3, _ := naming.BatchName(c, keys3)
-		lv.res3 = naming.Freeze(c, naming.BuildTable(c, keys3, names3))
+		names3, n3 := naming.BatchName(c, keys3)
+		lv.res3 = naming.FreezeKeys(c, keys3, names3, n3)
 		c.For(nd, func(j int) { resS[j] = names3[2*j]; resP[j] = names3[2*j+1] })
 	}
 }
@@ -248,26 +249,26 @@ func (mm *Matcher) buildBase(c *pram.Ctx, lv *level, dict [][]int32) []int32 {
 	case 1:
 		keys := make([]uint64, nd)
 		c.For(nd, func(j int) { keys[j] = naming.EncodePair(dict[j][0], 0) })
-		names, _ := naming.BatchName(c, keys)
-		lv.base2 = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, n := naming.BatchName(c, keys)
+		lv.base2 = naming.FreezeKeys(c, keys, names, n)
 		copy(beta, names)
 		c.AddWork(int64(nd))
 	case 2:
 		keys := make([]uint64, nd)
 		c.For(nd, func(j int) { keys[j] = naming.EncodePair(dict[j][0], dict[j][1]) })
-		names, _ := naming.BatchName(c, keys)
-		lv.base2 = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, n := naming.BatchName(c, keys)
+		lv.base2 = naming.FreezeKeys(c, keys, names, n)
 		copy(beta, names)
 		c.AddWork(int64(nd))
 	case 3:
 		keys := make([]uint64, nd)
 		c.For(nd, func(j int) { keys[j] = naming.EncodePair(dict[j][0], dict[j][1]) })
-		names, _ := naming.BatchName(c, keys)
-		lv.base2 = naming.Freeze(c, naming.BuildTable(c, keys, names))
+		names, n := naming.BatchName(c, keys)
+		lv.base2 = naming.FreezeKeys(c, keys, names, n)
 		keys3 := make([]uint64, nd)
 		c.For(nd, func(j int) { keys3[j] = naming.EncodePair(names[j], dict[j][2]) })
-		names3, _ := naming.BatchName(c, keys3)
-		lv.base3 = naming.Freeze(c, naming.BuildTable(c, keys3, names3))
+		names3, n3 := naming.BatchName(c, keys3)
+		lv.base3 = naming.FreezeKeys(c, keys3, names3, n3)
 		copy(beta, names3)
 		c.AddWork(int64(nd))
 	case 4:
@@ -276,12 +277,12 @@ func (mm *Matcher) buildBase(c *pram.Ctx, lv *level, dict [][]int32) []int32 {
 			keysA[2*j] = naming.EncodePair(dict[j][0], dict[j][1])
 			keysA[2*j+1] = naming.EncodePair(dict[j][2], dict[j][3])
 		})
-		namesA, _ := naming.BatchName(c, keysA)
-		lv.base2 = naming.Freeze(c, naming.BuildTable(c, keysA, namesA))
+		namesA, nA := naming.BatchName(c, keysA)
+		lv.base2 = naming.FreezeKeys(c, keysA, namesA, nA)
 		keysB := make([]uint64, nd)
 		c.For(nd, func(j int) { keysB[j] = naming.EncodePair(namesA[2*j], namesA[2*j+1]) })
-		namesB, _ := naming.BatchName(c, keysB)
-		lv.base4 = naming.Freeze(c, naming.BuildTable(c, keysB, namesB))
+		namesB, nB := naming.BatchName(c, keysB)
+		lv.base4 = naming.FreezeKeys(c, keysB, namesB, nB)
 		copy(beta, namesB)
 		c.AddWork(int64(nd))
 	}

@@ -7,15 +7,16 @@ import "pardict/internal/pram"
 // with it the way the sharded Table must avoid — see shardMul).
 const fib64 = 0x9E3779B97F4A7C15
 
-// Frozen is an immutable open-addressing view of a Table, built once after
-// preprocessing and used on the matching hot path: a linear-probed
-// power-of-two layout of three flat arrays — an 8-bit fingerprint array
-// probed first, then parallel key and value arrays. The fingerprint byte
-// settles most probes (hit or miss) inside one cache line of the fps array
-// before the 8-byte key is ever touched, which is what makes the per-level
-// lookups of the cascade cache-resident (EXPERIMENTS.md E15 measures the
-// difference against the map-backed Table). Any value except None may be
-// stored (None is what Lookup returns for absent keys).
+// Frozen is an immutable open-addressing table, built once during
+// preprocessing (by FreezeKeys, or by Freeze from a growable Table) and used
+// on the matching hot path: a linear-probed power-of-two layout of three
+// flat arrays — an 8-bit fingerprint array probed first, then parallel key
+// and value arrays. The fingerprint byte settles most probes (hit or miss)
+// inside one cache line of the fps array before the 8-byte key is ever
+// touched, which is what makes the per-level lookups of the cascade
+// cache-resident (EXPERIMENTS.md E15 measures the difference against the
+// map-backed Table). Any value except None may be stored (None is what
+// Lookup returns for absent keys).
 type Frozen struct {
 	fps   []uint8 // 0 = empty slot; otherwise a nonzero hash fingerprint
 	keys  []uint64
@@ -37,9 +38,10 @@ func fingerprint(h uint64) uint8 {
 	return fp
 }
 
-// Freeze builds the open-addressing view. No value in t may equal None.
-func Freeze(c *pram.Ctx, t *Table) *Frozen {
-	n := t.Len()
+// newFrozen returns an empty table sized for n distinct keys: the least power
+// of two at least 2·n (and at least 8), so a full table is at most half
+// occupied and probe runs stay short.
+func newFrozen(n int) *Frozen {
 	size := 1
 	for size < 2*n || size < 8 {
 		size <<= 1
@@ -49,28 +51,67 @@ func Freeze(c *pram.Ctx, t *Table) *Frozen {
 		keys: make([]uint64, size),
 		vals: make([]int32, size),
 		mask: uint64(size - 1),
-		n:    n,
 	}
 	f.shift = 64
 	for s := size; s > 1; s >>= 1 {
 		f.shift--
 	}
+	return f
+}
+
+// putIfAbsent stores v for k unless k is already present.
+func (f *Frozen) putIfAbsent(k uint64, v int32) {
+	if v == None {
+		panic("naming: a frozen table cannot store None values")
+	}
+	h := k * fib64
+	fp := fingerprint(h)
+	i := h >> f.shift
+	for b := f.fps[i]; b != 0; b = f.fps[i] {
+		if b == fp && f.keys[i] == k {
+			return
+		}
+		i = (i + 1) & f.mask
+	}
+	f.fps[i] = fp
+	f.keys[i] = k
+	f.vals[i] = v
+	f.n++
+}
+
+// Freeze builds the open-addressing view of a growable table. No value in t
+// may equal None.
+func Freeze(c *pram.Ctx, t *Table) *Frozen {
+	f := newFrozen(t.Len())
 	t.Range(func(k uint64, v int32) bool {
-		if v == None {
-			panic("naming: Freeze cannot store None values")
-		}
-		h := k * fib64
-		i := h >> f.shift
-		for f.fps[i] != 0 {
-			i = (i + 1) & f.mask
-		}
-		f.fps[i] = fingerprint(h)
-		f.keys[i] = k
-		f.vals[i] = v
+		f.putIfAbsent(k, v)
 		return true
 	})
 	if c != nil {
-		c.AddWork(int64(n))
+		c.AddWork(int64(f.n))
+		c.AddDepth(1)
+	}
+	return f
+}
+
+// FreezeKeys builds the frozen table mapping keys[i] -> vals[i] straight into
+// its open-addressed arrays, with no growable Table in between. distinct is
+// the number of distinct keys — the naming pass that produced the keys
+// returns it — or an upper bound on it; with the exact count the capacity is
+// Freeze's, so hot-path probe lengths are the same. When a key repeats, the
+// smallest index wins, making the build deterministic (the paper's
+// arbitrary-CRCW write resolved canonically). No value may equal None. It
+// charges the PRAM fill, one processor per tuple: len(keys) work, depth 1.
+func FreezeKeys(c *pram.Ctx, keys []uint64, vals []int32, distinct int) *Frozen {
+	f := newFrozen(distinct)
+	for i, k := range keys {
+		f.putIfAbsent(k, vals[i])
+		if f.n > distinct {
+			panic("naming: FreezeKeys given more distinct keys than declared")
+		}
+	}
+	if len(keys) > 0 {
+		c.AddWork(int64(len(keys)))
 		c.AddDepth(1)
 	}
 	return f

@@ -130,11 +130,13 @@ func TestTableBasic(t *testing.T) {
 	}
 }
 
+// TestBuildTableFirstWins: FreezeKeys keeps the value of a key's first
+// occurrence, as the arbitrary-CRCW write resolved canonically.
 func TestBuildTableFirstWins(t *testing.T) {
 	c := pram.New(0)
 	keys := []uint64{1, 2, 1, 3, 2}
 	vals := []int32{10, 20, 99, 30, 88}
-	tb := BuildTable(c, keys, vals)
+	tb := FreezeKeys(c, keys, vals, 3)
 	if tb.Len() != 3 {
 		t.Fatalf("len = %d", tb.Len())
 	}
@@ -154,7 +156,7 @@ func TestBuildTableLarge(t *testing.T) {
 		keys[i] = uint64(i) * 2654435761
 		vals[i] = int32(i)
 	}
-	tb := BuildTable(c, keys, vals)
+	tb := FreezeKeys(c, keys, vals, n)
 	if tb.Len() != n {
 		t.Fatalf("len = %d want %d", tb.Len(), n)
 	}
@@ -163,6 +165,74 @@ func TestBuildTableLarge(t *testing.T) {
 			t.Fatalf("key %d: %d,%v", keys[i], v, ok)
 		}
 	}
+}
+
+// TestFreezeKeysVsMap checks the direct fill against a Go map built with the
+// same first-wins rule, on key sets with heavy repetition: every key maps to
+// its first value, absent keys return None, Len is the distinct count, and
+// the capacity equals Freeze's for the same entries. An upper bound on the
+// distinct count still gives a correct table.
+func TestFreezeKeysVsMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 7, 100, 5000} {
+		for _, spread := range []int{1, 3, 1 << 20} {
+			keys := make([]uint64, n)
+			vals := make([]int32, n)
+			want := map[uint64]int32{}
+			for i := range keys {
+				keys[i] = EncodePair(int32(rng.Intn(n/spread+1)), int32(rng.Intn(4)))
+				vals[i] = int32(rng.Intn(1 << 20))
+				if _, ok := want[keys[i]]; !ok {
+					want[keys[i]] = vals[i]
+				}
+			}
+			c := pram.New(0)
+			f := FreezeKeys(c, keys, vals, len(want))
+			if f.Len() != len(want) {
+				t.Fatalf("n=%d spread=%d: Len %d, want %d", n, spread, f.Len(), len(want))
+			}
+			for k, v := range want {
+				if got, ok := f.Get(k); !ok || got != v {
+					t.Fatalf("n=%d spread=%d: key %#x = %d,%v want %d", n, spread, k, got, ok, v)
+				}
+			}
+			for probe := 0; probe < 200; probe++ {
+				k := rng.Uint64() | 1<<63 // EncodePair of nonnegative names never sets bit 63
+				if got := f.Lookup(k); got != None {
+					t.Fatalf("absent key %#x returned %d", k, got)
+				}
+			}
+			tb := NewTable(c)
+			for k, v := range want {
+				tb.Put(k, v)
+			}
+			if got, frz := len(f.fps), len(Freeze(c, tb).fps); got != frz {
+				t.Fatalf("n=%d spread=%d: capacity %d, Freeze's %d", n, spread, got, frz)
+			}
+			if n > 0 {
+				if c.Work() == 0 {
+					t.Fatalf("fill charged no work")
+				}
+				loose := FreezeKeys(c, keys, vals, n)
+				for k, v := range want {
+					if got := loose.Lookup(k); got != v {
+						t.Fatalf("upper-bound fill: key %#x = %d want %d", k, got, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFreezeKeysUndercount: declaring fewer distinct keys than the input
+// holds is a caller bug, caught before the table could overfill.
+func TestFreezeKeysUndercount(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic")
+		}
+	}()
+	FreezeKeys(pram.New(1), []uint64{1, 2, 3}, []int32{1, 2, 3}, 2)
 }
 
 func TestTableRange(t *testing.T) {

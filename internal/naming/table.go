@@ -15,10 +15,12 @@ import (
 // level, and the flat layout turns that probe into one or two contiguous
 // cache-line touches instead of a bucket-pointer chase.
 //
-// Tables are built in parallel (sharded by key hash) and support single-
-// writer mutation afterwards; concurrent readers are safe as long as no
-// writer is active, which matches how the engines use them (preprocessing
-// and dictionary updates are serialized; text matching only reads).
+// A Table is filled by a single writer, one Put at a time, and spreads its
+// keys over hash-selected shards so each shard grows on its own. Concurrent
+// readers are safe as long as no writer is active, which matches how the
+// engines use it (preprocessing and dictionary updates are serialized; text
+// matching only reads). Tables whose keys are all known at once are built
+// directly frozen instead (FreezeKeys).
 type Table struct {
 	shards []flathash.Map[int32]
 	shift  uint
@@ -52,34 +54,6 @@ func NewTable(c *pram.Ctx) *Table {
 
 func (t *Table) shardOf(k uint64) *flathash.Map[int32] {
 	return &t.shards[(k*shardMul)>>t.shift]
-}
-
-// BuildTable constructs a table mapping keys[i] -> vals[i]. When a key
-// repeats, the entry with the smallest index wins, making the build
-// deterministic (the paper's arbitrary-CRCW write resolved canonically).
-// The build runs one parallel phase per shard set, charging len(keys) work.
-func BuildTable(c *pram.Ctx, keys []uint64, vals []int32) *Table {
-	t := NewTable(c)
-	n := len(keys)
-	if n == 0 {
-		return t
-	}
-	nshards := len(t.shards)
-	c.For(nshards, func(s int) {
-		m := &t.shards[s]
-		for i := 0; i < n; i++ {
-			k := keys[i]
-			if int((k*shardMul)>>t.shift) != s {
-				continue
-			}
-			m.PutIfAbsent(k, vals[i])
-		}
-	})
-	// Each shard scans all n keys; charge the PRAM-equivalent n work (one
-	// processor per tuple writes its shard) rather than the n*shards scan
-	// the shared-memory emulation performs.
-	c.AddWork(int64(n) - int64(nshards))
-	return t
 }
 
 // Get returns the stamp for k.

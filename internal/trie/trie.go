@@ -2,21 +2,12 @@
 // dictionary-matching algorithms (§6.1.2): one node per distinct dictionary
 // prefix, with pattern nodes "marked". The query the engines need — the
 // longest pattern that is a prefix of a given prefix — is a nearest-marked-
-// ancestor query on this trie (static arrays here; see package eulertree for
-// the dynamic structure).
-//
-// Two representations coexist. The growable Trie stores edges in an
-// open-addressed flathash table keyed by (node,symbol) and supports inserts
-// and mark churn. Seal freezes it into a CSR (compressed sparse row) layout —
-// one row of sorted (symbol, child) pairs per node in two contiguous arrays —
-// which read-only consumers walk without touching a hash table at all.
+// ancestor query on this trie, answered by package eulertree as the marks
+// change. Edges live in an open-addressed flathash table keyed by
+// (node,symbol), which supports inserts and mark churn.
 package trie
 
-import (
-	"sort"
-
-	"pardict/internal/flathash"
-)
+import "pardict/internal/flathash"
 
 // None marks an absent node or pattern.
 const None int32 = -1
@@ -116,156 +107,3 @@ func (t *Trie) Unmark(node int32) int32 {
 
 // IsMarked reports whether node is marked.
 func (t *Trie) IsMarked(node int32) bool { return t.patOf[node] != None }
-
-// NearestMarked walks parent links from node (inclusive) and returns the
-// first marked node, or None. O(depth) — the brute-force reference for the
-// eulertree structure, also used on short chains.
-func (t *Trie) NearestMarked(node int32) int32 {
-	for v := node; v != None; v = t.parent[v] {
-		if t.patOf[v] != None {
-			return v
-		}
-	}
-	return None
-}
-
-// ComputeNMA returns, for every node, its nearest marked ancestor
-// (inclusive), or None — the static §4.2 arrays, computed in one pass over
-// the nodes (parents precede children by construction).
-func (t *Trie) ComputeNMA() []int32 {
-	nma := make([]int32, len(t.parent))
-	for v := range nma {
-		if t.patOf[v] != None {
-			nma[v] = int32(v)
-		} else if p := t.parent[v]; p != None {
-			nma[v] = nma[p]
-		} else {
-			nma[v] = None
-		}
-	}
-	return nma
-}
-
-// Sealed is the frozen CSR view of a Trie: per-node edge rows in two shared
-// contiguous arrays (symbols sorted within each row), plus the parent/depth/
-// mark/NMA arrays copied at seal time. It is immutable and safe for
-// concurrent readers; mutating the source Trie after Seal does not affect it.
-type Sealed struct {
-	rowStart []int32 // len = nodes+1; edges of node v are rows [rowStart[v], rowStart[v+1])
-	syms     []int32 // edge symbols, sorted within each row
-	childs   []int32 // parallel child ids
-	parent   []int32
-	depth    []int32
-	patOf    []int32
-	nma      []int32
-}
-
-// Seal freezes the trie into CSR form.
-func (t *Trie) Seal() *Sealed {
-	n := len(t.parent)
-	s := &Sealed{
-		rowStart: make([]int32, n+1),
-		parent:   append([]int32(nil), t.parent...),
-		depth:    append([]int32(nil), t.depth...),
-		patOf:    append([]int32(nil), t.patOf...),
-		nma:      t.ComputeNMA(),
-	}
-	// Count edges per node, prefix-sum into row starts, then fill.
-	counts := make([]int32, n)
-	t.child.Range(func(k uint64, _ int32) bool {
-		counts[int32(k>>32)]++
-		return true
-	})
-	var total int32
-	for v, c := range counts {
-		s.rowStart[v] = total
-		total += c
-	}
-	s.rowStart[n] = total
-	s.syms = make([]int32, total)
-	s.childs = make([]int32, total)
-	fill := append([]int32(nil), s.rowStart[:n]...)
-	t.child.Range(func(k uint64, c int32) bool {
-		v := int32(k >> 32)
-		i := fill[v]
-		s.syms[i] = int32(uint32(k))
-		s.childs[i] = c
-		fill[v]++
-		return true
-	})
-	for v := 0; v < n; v++ {
-		lo, hi := s.rowStart[v], s.rowStart[v+1]
-		row := rowSorter{syms: s.syms[lo:hi], childs: s.childs[lo:hi]}
-		sort.Sort(row)
-	}
-	return s
-}
-
-type rowSorter struct{ syms, childs []int32 }
-
-func (r rowSorter) Len() int           { return len(r.syms) }
-func (r rowSorter) Less(i, j int) bool { return r.syms[i] < r.syms[j] }
-func (r rowSorter) Swap(i, j int) {
-	r.syms[i], r.syms[j] = r.syms[j], r.syms[i]
-	r.childs[i], r.childs[j] = r.childs[j], r.childs[i]
-}
-
-// Len reports the number of nodes.
-func (s *Sealed) Len() int { return len(s.parent) }
-
-// Child returns the child of node on sym, or None, by binary search over the
-// node's sorted CSR row (rows are tiny in practice, so this is a handful of
-// compares inside one or two cache lines).
-func (s *Sealed) Child(node, sym int32) int32 {
-	lo, hi := s.rowStart[node], s.rowStart[node+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch v := s.syms[mid]; {
-		case v < sym:
-			lo = mid + 1
-		case v > sym:
-			hi = mid
-		default:
-			return s.childs[mid]
-		}
-	}
-	return None
-}
-
-// Degree reports the number of children of node.
-func (s *Sealed) Degree(node int32) int {
-	return int(s.rowStart[node+1] - s.rowStart[node])
-}
-
-// Row returns node's sorted edge row (symbols and parallel child ids). The
-// returned slices alias the CSR arrays and must not be modified.
-func (s *Sealed) Row(node int32) (syms, childs []int32) {
-	lo, hi := s.rowStart[node], s.rowStart[node+1]
-	return s.syms[lo:hi], s.childs[lo:hi]
-}
-
-// Parent returns node's parent (None for the root).
-func (s *Sealed) Parent(node int32) int32 { return s.parent[node] }
-
-// Depth returns node's depth.
-func (s *Sealed) Depth(node int32) int32 { return s.depth[node] }
-
-// PatternAt returns the pattern index marked at node, or None.
-func (s *Sealed) PatternAt(node int32) int32 { return s.patOf[node] }
-
-// Walk returns the node of the longest prefix of p present and its length.
-func (s *Sealed) Walk(p []int32) (node int32, length int) {
-	cur := int32(0)
-	for i, sym := range p {
-		nxt := s.Child(cur, sym)
-		if nxt == None {
-			return cur, i
-		}
-		cur = nxt
-	}
-	return cur, len(p)
-}
-
-// NearestMarked returns the nearest marked ancestor of node (inclusive), or
-// None — O(1) via the NMA array computed at seal time.
-func (s *Sealed) NearestMarked(node int32) int32 { return s.nma[node] }

@@ -1,9 +1,6 @@
 package trie
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func enc(s string) []int32 {
 	out := make([]int32, len(s))
@@ -60,46 +57,6 @@ func TestMarkUnmark(t *testing.T) {
 	}
 }
 
-func TestNearestMarked(t *testing.T) {
-	tr := New()
-	na, _ := tr.Insert(enc("a"))
-	nab, _ := tr.Insert(enc("ab"))
-	nabc, _ := tr.Insert(enc("abc"))
-	tr.Mark(na, 0)
-	tr.Mark(nabc, 2)
-	if got := tr.NearestMarked(nabc); got != nabc {
-		t.Fatalf("got %d", got)
-	}
-	if got := tr.NearestMarked(nab); got != na {
-		t.Fatalf("got %d", got)
-	}
-	if got := tr.NearestMarked(0); got != None {
-		t.Fatalf("got %d", got)
-	}
-}
-
-func TestComputeNMA(t *testing.T) {
-	tr := New()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		l := 1 + rng.Intn(8)
-		p := make([]int32, l)
-		for k := range p {
-			p[k] = int32(rng.Intn(3))
-		}
-		n, _ := tr.Insert(p)
-		if rng.Intn(2) == 0 {
-			tr.Mark(n, int32(i))
-		}
-	}
-	nma := tr.ComputeNMA()
-	for v := int32(0); v < int32(tr.Len()); v++ {
-		if nma[v] != tr.NearestMarked(v) {
-			t.Fatalf("node %d: %d vs %d", v, nma[v], tr.NearestMarked(v))
-		}
-	}
-}
-
 func TestChildParent(t *testing.T) {
 	tr := New()
 	n, _ := tr.Insert(enc("xy"))
@@ -118,83 +75,5 @@ func TestChildParent(t *testing.T) {
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d", tr.Len())
-	}
-}
-
-// TestSealedEquivalence builds a random trie and checks every Sealed query
-// against the growable representation.
-func TestSealedEquivalence(t *testing.T) {
-	tr := New()
-	rng := rand.New(rand.NewSource(11))
-	var strs [][]int32
-	for i := 0; i < 200; i++ {
-		l := 1 + rng.Intn(10)
-		p := make([]int32, l)
-		for k := range p {
-			p[k] = int32(rng.Intn(5))
-		}
-		strs = append(strs, p)
-		n, _ := tr.Insert(p)
-		if rng.Intn(3) == 0 {
-			tr.Mark(n, int32(i))
-		}
-	}
-	s := tr.Seal()
-	if s.Len() != tr.Len() {
-		t.Fatalf("sealed len %d vs %d", s.Len(), tr.Len())
-	}
-	edges := 0
-	for v := int32(0); v < int32(tr.Len()); v++ {
-		if s.Parent(v) != tr.Parent(v) || s.Depth(v) != tr.Depth(v) || s.PatternAt(v) != tr.PatternAt(v) {
-			t.Fatalf("node %d: scalar fields differ", v)
-		}
-		if s.NearestMarked(v) != tr.NearestMarked(v) {
-			t.Fatalf("node %d: NMA %d vs %d", v, s.NearestMarked(v), tr.NearestMarked(v))
-		}
-		for sym := int32(0); sym < 6; sym++ {
-			if s.Child(v, sym) != tr.Child(v, sym) {
-				t.Fatalf("node %d sym %d: child %d vs %d", v, sym, s.Child(v, sym), tr.Child(v, sym))
-			}
-		}
-		syms, childs := s.Row(v)
-		if len(syms) != s.Degree(v) || len(childs) != len(syms) {
-			t.Fatalf("node %d: row/degree mismatch", v)
-		}
-		for i := 1; i < len(syms); i++ {
-			if syms[i-1] >= syms[i] {
-				t.Fatalf("node %d: row not strictly sorted", v)
-			}
-		}
-		edges += len(syms)
-	}
-	if edges != tr.Len()-1 {
-		t.Fatalf("CSR edge count %d, want %d", edges, tr.Len()-1)
-	}
-	for _, p := range strs {
-		ext := append(append([]int32(nil), p...), int32(rng.Intn(6)))
-		for _, q := range [][]int32{p, ext} {
-			n1, l1 := tr.Walk(q)
-			n2, l2 := s.Walk(q)
-			if n1 != n2 || l1 != l2 {
-				t.Fatalf("walk mismatch: (%d,%d) vs (%d,%d)", n1, l1, n2, l2)
-			}
-		}
-	}
-}
-
-// TestSealedImmutable checks mutating the trie after Seal leaves the sealed
-// view untouched.
-func TestSealedImmutable(t *testing.T) {
-	tr := New()
-	n, _ := tr.Insert(enc("ab"))
-	tr.Mark(n, 3)
-	s := tr.Seal()
-	tr.Insert(enc("abc"))
-	tr.Unmark(n)
-	if s.Len() != 3 || s.PatternAt(n) != 3 || s.NearestMarked(n) != n {
-		t.Fatal("sealed view changed after trie mutation")
-	}
-	if s.Child(n, 'c') != None {
-		t.Fatal("sealed view sees post-seal edge")
 	}
 }

@@ -1,9 +1,10 @@
 package pardict
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"pardict/internal/alpha"
@@ -13,7 +14,6 @@ import (
 	"pardict/internal/pram"
 	"pardict/internal/smallalpha"
 	"pardict/internal/streamcore"
-	"pardict/internal/trie"
 )
 
 // Matcher is a preprocessed static dictionary. It is immutable and safe for
@@ -130,9 +130,6 @@ func NewMatcher(patterns [][]byte, opts ...Option) (*Matcher, error) {
 				return
 			}
 			m.equal, err = multimatch.New(ctx, m.encoded)
-			if err == nil {
-				err = rejectDuplicates(m.encoded)
-			}
 		default:
 			err = fmt.Errorf("pardict: unknown engine %v", m.engine)
 		}
@@ -140,7 +137,13 @@ func NewMatcher(patterns [][]byte, opts ...Option) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.buildChain(); err != nil {
+	if m.general != nil {
+		// Preprocess already rejected duplicates and holds the chain.
+		m.nextShorter = make([]int32, len(m.encoded))
+		for i := range m.nextShorter {
+			m.nextShorter[i] = m.general.NextShorter(int32(i))
+		}
+	} else if m.nextShorter, err = prefixChain(m.encoded); err != nil {
 		return nil, err
 	}
 	m.applyPrefilter()
@@ -176,97 +179,61 @@ func (m *Matcher) applyPrefilter() {
 	m.filtered = true
 }
 
-// rejectDuplicates enforces pattern distinctness for engines that would
-// otherwise silently collapse duplicates. It sorts pattern indices
-// lexicographically and compares neighbours — no per-pattern key
-// materialization — and reports the same witness the old map scan did: among
-// the first duplicated pattern (by smallest earliest index), its two lowest
-// indices.
-func rejectDuplicates(encoded [][]int32) error {
+// prefixChain returns the proper-prefix chain of §4.2 — for each pattern, the
+// longest other pattern that is a proper prefix of it, or -1 — and rejects
+// duplicate patterns. It sorts pattern indices lexicographically (equal
+// patterns by index), so every proper prefix of a pattern sorts before it
+// and prefixes every pattern in between. One pass over that order keeps a
+// stack of the patterns that are prefixes of the previous one: those no
+// longer than the longest common prefix with the current pattern are
+// exactly its prefixes, and the longest is its chain link. An equal pattern
+// on the stack is a duplicate. The witness is the one an insertion-order scan
+// reports: among duplicated patterns, the one whose second occurrence comes
+// earliest, paired with its first occurrence.
+func prefixChain(encoded [][]int32) ([]int32, error) {
 	n := len(encoded)
-	if n < 2 {
-		return nil
-	}
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := encoded[idx[a]], encoded[idx[b]]
-		for k := 0; k < len(pa) && k < len(pb); k++ {
-			if pa[k] != pb[k] {
-				return pa[k] < pb[k]
-			}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := slices.Compare(encoded[a], encoded[b]); c != 0 {
+			return c
 		}
-		if len(pa) != len(pb) {
-			return len(pa) < len(pb)
-		}
-		return idx[a] < idx[b] // stabilize equal groups by index
+		return cmp.Compare(a, b)
 	})
+	chain := make([]int32, n)
+	var stack []int32
 	var dup *core.DuplicateError
-	for s := 0; s < n; {
-		e := s + 1
-		for e < n && equalPats(encoded[idx[s]], encoded[idx[e]]) {
-			e++
-		}
-		if e-s > 1 {
-			// Group is index-sorted (comparator tie-break). The insertion-order
-			// map scan reported the earliest second occurrence across all
-			// patterns, paired with that pattern's first index — so pick the
-			// group whose second-smallest index is minimal.
-			first, second := int(idx[s]), int(idx[s+1])
-			if dup == nil || second < dup.Second {
-				dup = &core.DuplicateError{First: first, Second: second}
+	for s, i := range idx {
+		p := encoded[i]
+		common := 0
+		if s > 0 {
+			prev := encoded[idx[s-1]]
+			for common < len(prev) && common < len(p) && prev[common] == p[common] {
+				common++
 			}
 		}
-		s = e
+		for len(stack) > 0 && len(encoded[stack[len(stack)-1]]) > common {
+			stack = stack[:len(stack)-1]
+		}
+		chain[i] = -1
+		if len(stack) > 0 {
+			top := stack[len(stack)-1]
+			if len(encoded[top]) == len(p) {
+				if dup == nil || int(i) < dup.Second {
+					dup = &core.DuplicateError{First: int(top), Second: int(i)}
+				}
+				continue
+			}
+			chain[i] = top
+		}
+		stack = append(stack, i)
 	}
 	if dup != nil {
-		return dup
+		return nil, dup
 	}
-	return nil
-}
-
-func equalPats(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// buildChain computes the proper-prefix pattern chain with a trie, reading
-// the chain back through the sealed CSR view (the NMA array is computed once
-// at seal time).
-func (m *Matcher) buildChain() error {
-	tr := trie.New()
-	ends := make([]int32, len(m.encoded))
-	for i, p := range m.encoded {
-		node, _ := tr.Insert(p)
-		if !tr.Mark(node, int32(i)) {
-			return &core.DuplicateError{First: int(tr.PatternAt(node)), Second: i}
-		}
-		ends[i] = node
-	}
-	sealed := tr.Seal()
-	m.nextShorter = make([]int32, len(m.encoded))
-	for i, node := range ends {
-		parent := sealed.Parent(node)
-		if parent == trie.None {
-			m.nextShorter[i] = -1
-			continue
-		}
-		if up := sealed.NearestMarked(parent); up != trie.None {
-			m.nextShorter[i] = sealed.PatternAt(up)
-		} else {
-			m.nextShorter[i] = -1
-		}
-	}
-	return nil
+	return chain, nil
 }
 
 // Engine reports the engine actually in use.

@@ -243,7 +243,10 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.buildChain(); err != nil {
+	// The chain comes from the pattern list, never from the stream's stored
+	// copy: a version-1 stream has no checksum, and a forged chain that loops
+	// would hang All.
+	if m.nextShorter, err = prefixChain(m.encoded); err != nil {
 		return nil, err
 	}
 	// The prefilter is derived state, not part of the save format: rebuild it
