@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pardict/internal/obs"
 )
 
 func cancelTestMatcher(t *testing.T, opts ...Option) *Matcher {
@@ -122,6 +124,42 @@ func TestMidMatchCancelDoesNotWedgePool(t *testing.T) {
 	if p, ok := r.Longest(1); !ok || !bytes.Equal(m.Pattern(p), []byte("abracadabra")) {
 		t.Fatalf("post-cancel match wrong: %d %v", p, ok)
 	}
+}
+
+// TestMatchContextCanceledInWindowPass cancels a filtered match once the
+// scheduler has seen its third phase — the prefilter screen, the fill of
+// Pat, then the first phase of the cascade over the survivors' windows: the
+// call must return ErrCanceled and no result. Not parallel: obs.SetEnabled
+// is process-global.
+func TestMatchContextCanceledInWindowPass(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	pool := NewPool(2)
+	defer pool.Close()
+	m := cancelTestMatcher(t, WithEngine(EngineGeneral), WithPrefilter(PrefilterOn), WithPool(pool))
+	// One occurrence per 200 bytes: the windows cover about a tenth of the
+	// text, so the match takes the window path.
+	text := bytes.Repeat(append([]byte("abracadabra"), bytes.Repeat([]byte{'.'}, 189)...), 1<<14)
+	for attempt := 0; attempt < 10; attempt++ {
+		gctx, cancel := context.WithCancel(context.Background())
+		phases := pool.Stats().Phases
+		go func() {
+			for pool.Stats().Phases < phases+3 {
+				runtime.Gosched()
+			}
+			cancel()
+		}()
+		r, err := m.MatchContext(gctx, text)
+		cancel()
+		if err == nil {
+			continue // the match outran the cancel; try again
+		}
+		if !errors.Is(err, ErrCanceled) || r != nil {
+			t.Fatalf("err = %v, result %v; want ErrCanceled and no result", err, r)
+		}
+		return
+	}
+	t.Fatal("no attempt was canceled during the window pass")
 }
 
 func TestMatchContextNoGoroutineLeak(t *testing.T) {

@@ -1,7 +1,10 @@
 package pardict
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pardict/internal/core"
@@ -26,10 +29,58 @@ func randTextWithPlants(rng *rand.Rand, patterns [][]byte, n, plants int) []byte
 // TestPrefilterOutputEquivalence: the prefilter is an execution-layer
 // optimization — pattern output AND the counted Work/Depth stats must be
 // byte-identical with it off, with the scalar screen, and with the wide-lane
-// screen. Not parallel: obs.SetEnabled is process-global elsewhere in the
-// suite.
+// screen. Random byte texts with planted hits come first; then a sweep over
+// alphabets σ ∈ {2, 4, 26, 256} and survivor densities 0, 0.001, 0.1 and 1,
+// with a pattern planted flush against the text end, which takes the filtered
+// match through no windows, sparse windows, the in-place dense cascade and a
+// survivor in the last W−1 positions. Not parallel: obs.SetEnabled is
+// process-global elsewhere in the suite.
 func TestPrefilterOutputEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
+	compare := func(label string, patterns [][]byte, texts [][]byte) {
+		t.Helper()
+		plain, err := NewMatcher(patterns, WithEngine(EngineGeneral))
+		if err != nil {
+			t.Fatal(err)
+		}
+		filtered := map[string]*Matcher{}
+		for name, mode := range map[string]PrefilterMode{"wide": PrefilterOn, "scalar": prefilterScalar} {
+			filtered[name], err = NewMatcher(patterns, WithEngine(EngineGeneral), WithPrefilter(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for trial, text := range texts {
+			a := plain.Match(text)
+			if _, ok := a.PrefixLen(0); len(text) > 0 && !ok {
+				t.Fatal("unfiltered general matcher must report PrefixLen")
+			}
+			for name, m := range filtered {
+				b := m.Match(text)
+				if a.Len() != b.Len() {
+					t.Fatalf("%s %s: length mismatch: %d vs %d", label, name, a.Len(), b.Len())
+				}
+				for i := 0; i < a.Len(); i++ {
+					pa, oka := a.Longest(i)
+					pb, okb := b.Longest(i)
+					if pa != pb || oka != okb {
+						t.Fatalf("%s trial %d pos %d: longest %d,%v (plain) vs %d,%v (%s)",
+							label, trial, i, pa, oka, pb, okb, name)
+					}
+					if la, lb := a.All(i, nil), b.All(i, nil); !slices.Equal(la, lb) {
+						t.Fatalf("%s %s pos %d: all-matches %v vs %v", label, name, i, la, lb)
+					}
+				}
+				if as, bs := a.Stats(), b.Stats(); as.Work != bs.Work || as.Depth != bs.Depth {
+					t.Fatalf("%s trial %d: %s prefilter changed counted cost: %+v vs %+v", label, trial, name, as, bs)
+				}
+				if _, ok := b.PrefixLen(0); ok {
+					t.Fatalf("%s-filtered matcher must withhold PrefixLen", name)
+				}
+			}
+		}
+	}
+
 	var patterns [][]byte
 	for i := 0; i < 24; i++ {
 		p := make([]byte, 3+rng.Intn(14))
@@ -37,52 +88,50 @@ func TestPrefilterOutputEquivalence(t *testing.T) {
 		patterns = append(patterns, p)
 	}
 	patterns = append(patterns, []byte("q")) // a length-1 pattern in the mix
-
-	plain, err := NewMatcher(patterns, WithEngine(EngineGeneral))
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered := map[string]*Matcher{}
-	for name, mode := range map[string]PrefilterMode{"wide": PrefilterOn, "scalar": prefilterScalar} {
-		filtered[name], err = NewMatcher(patterns, WithEngine(EngineGeneral), WithPrefilter(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	var texts [][]byte
 	for trial := 0; trial < 8; trial++ {
-		text := randTextWithPlants(rng, patterns, 500+rng.Intn(3000), 12)
-		a := plain.Match(text)
-		if _, ok := a.PrefixLen(0); !ok {
-			t.Fatal("unfiltered general matcher must report PrefixLen")
+		texts = append(texts, randTextWithPlants(rng, patterns, 500+rng.Intn(3000), 12))
+	}
+	compare("random bytes", patterns, texts)
+
+	for _, sigma := range []int{2, 4, 26, 256} {
+		sym := func() byte { return byte(rng.Intn(sigma)) }
+		if sigma <= 26 {
+			sym = func() byte { return 'a' + byte(rng.Intn(sigma)) }
 		}
-		for name, m := range filtered {
-			b := m.Match(text)
-			if a.Len() != b.Len() {
-				t.Fatalf("%s: length mismatch: %d vs %d", name, a.Len(), b.Len())
+		// One one-symbol pattern, which the tail plant uses: its symbol ends
+		// every planted text.
+		shortest := []byte{sym()}
+		seen := map[string]bool{string(shortest): true}
+		patterns := [][]byte{shortest}
+		for len(patterns) < 12 {
+			p := make([]byte, 2+rng.Intn(11))
+			for k := range p {
+				p[k] = sym()
 			}
-			for i := 0; i < a.Len(); i++ {
-				pa, oka := a.Longest(i)
-				pb, okb := b.Longest(i)
-				if pa != pb || oka != okb {
-					t.Fatalf("trial %d pos %d: longest %d,%v (plain) vs %d,%v (%s)",
-						trial, i, pa, oka, pb, okb, name)
-				}
-				if oka {
-					la := a.All(i, nil)
-					lb := b.All(i, nil)
-					if len(la) != len(lb) {
-						t.Fatalf("%s pos %d: all-matches %v vs %v", name, i, la, lb)
-					}
-				}
-			}
-			if as, bs := a.Stats(), b.Stats(); as.Work != bs.Work || as.Depth != bs.Depth {
-				t.Fatalf("trial %d: %s prefilter changed counted cost: %+v vs %+v", trial, name, as, bs)
-			}
-			if _, ok := b.PrefixLen(0); ok {
-				t.Fatalf("%s-filtered matcher must withhold PrefixLen", name)
+			if !seen[string(p)] {
+				seen[string(p)] = true
+				patterns = append(patterns, p)
 			}
 		}
+		var texts [][]byte
+		for _, density := range []float64{0, 0.001, 0.1, 1} {
+			n := 4000
+			text := bytes.Repeat([]byte{'#'}, n) // '#' is outside every alphabet but σ=256's
+			if density == 1 {
+				for j := range text {
+					text[j] = sym()
+				}
+			} else if density > 0 {
+				for k := 0; k < int(density*float64(n))+1; k++ {
+					p := patterns[rng.Intn(len(patterns))]
+					copy(text[rng.Intn(n-len(p)):], p)
+				}
+				copy(text[n-len(shortest):], shortest)
+			}
+			texts = append(texts, text)
+		}
+		compare(fmt.Sprintf("σ=%d", sigma), patterns, texts)
 	}
 }
 

@@ -95,8 +95,8 @@ type Dict struct {
 // EnablePrefilter builds and installs the bit-parallel rare-byte prefilter
 // for subsequent Match/MatchInto calls. Filtered matches report no-match at
 // screened positions, which is exact for Pat (the filter admits every true
-// pattern start) but makes Len/Name lower bounds; MatchLongestPrefix is
-// never filtered. Call before sharing the Dict across goroutines.
+// pattern start), and return Len/Name empty; MatchLongestPrefix is never
+// filtered. Call before sharing the Dict across goroutines.
 func (d *Dict) EnablePrefilter() {
 	d.filter = prefilter.Build(d.patterns)
 	d.filterWide = false

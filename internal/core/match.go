@@ -1,11 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
 	"pardict/internal/naming"
-	"pardict/internal/obs"
 	"pardict/internal/pram"
 )
 
@@ -13,6 +13,7 @@ import (
 // text (§4: Step 1 prefix-matching plus Step 2 longest-pattern resolution).
 type Result struct {
 	// Len[j] is the length of the longest dictionary prefix matching at j.
+	// Empty on a filtered match (see Match), like Name.
 	Len []int32
 	// Name[j] is that prefix's name (naming.Empty when Len[j] == 0).
 	Name []int32
@@ -28,16 +29,6 @@ func (r *Result) Release() {
 	pram.ReleaseInt32(r.Name)
 	pram.ReleaseInt32(r.Pat)
 	r.Len, r.Name, r.Pat = nil, nil, nil
-}
-
-// sizedI32 resizes s to length n, reusing its storage when the capacity
-// suffices and trading it back to the slab pools otherwise.
-func sizedI32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	pram.ReleaseInt32(s)
-	return pram.AcquireInt32(n)
 }
 
 // matchState is the pooled per-match scratch of the hot scan path. Its phase
@@ -59,10 +50,8 @@ type matchState struct {
 	down      *naming.Frozen // unwind: Extend-Right table of the current level
 	prev, cur []int32        // spawn: source and destination symbol arrays
 	level     []int32        // unwind: symbol array of the current level
-	needed    []uint64       // spawn: dilated candidate words (nil = all)
-	cand      []uint64       // unwind: candidate bits (nil = all)
 
-	initFn, patFn, spawnFn, unwindFn, finalFn, scanFn func(lo, hi int)
+	initFn, patFn, spawnFn, unwindFn, finalFn func(lo, hi int)
 }
 
 func newMatchState() *matchState {
@@ -82,67 +71,36 @@ func newMatchState() *matchState {
 	}
 	ms.spawnFn = func(lo, hi int) {
 		n, half := ms.n, ms.half
-		prev, cur, up, needed := ms.prev, ms.cur, ms.up, ms.needed
-		for j := lo; j < hi; {
-			end := (j | 63) + 1
-			if end > hi {
-				end = hi
-			}
-			if needed != nil && needed[j>>6] == 0 {
-				// Dead block: leave cur untouched. The dilation invariant (see
-				// matchFiltered) guarantees no candidate's cascade ever reads a
-				// position outside the dilated region, so whatever the pooled
-				// array holds here is unobservable.
-				j = end
+		prev, cur, up := ms.prev, ms.cur, ms.up
+		for j := lo; j < hi; j++ {
+			if j+2*half > n {
+				cur[j] = naming.None
 				continue
 			}
-			for ; j < end; j++ {
-				if j+2*half > n {
-					cur[j] = naming.None
-					continue
-				}
-				a, b := prev[j], prev[j+half]
-				if a == naming.None || b == naming.None {
-					cur[j] = naming.None
-					continue
-				}
-				cur[j] = up.Lookup(naming.EncodePair(a, b))
+			a, b := prev[j], prev[j+half]
+			if a == naming.None || b == naming.None {
+				cur[j] = naming.None
+				continue
 			}
+			cur[j] = up.Lookup(naming.EncodePair(a, b))
 		}
 	}
 	ms.unwindFn = func(lo, hi int) {
 		n, step := ms.n, ms.step
-		r, level, down, cand := ms.r, ms.level, ms.down, ms.cand
-		for j := lo; j < hi; {
-			end := (j | 63) + 1
-			if end > hi {
-				end = hi
+		r, level, down := ms.r, ms.level, ms.down
+		for j := lo; j < hi; j++ {
+			l := int(r.Len[j])
+			pos := j + l
+			if pos+step > n {
+				continue
 			}
-			var w uint64 = ^uint64(0)
-			if cand != nil {
-				w = cand[j>>6]
-				if w == 0 {
-					j = end
-					continue
-				}
+			b := level[pos]
+			if b == naming.None {
+				continue
 			}
-			for ; j < end; j++ {
-				if cand != nil && w&(1<<uint(j&63)) == 0 {
-					continue
-				}
-				l := int(r.Len[j])
-				pos := j + l
-				if pos+step > n {
-					continue
-				}
-				b := level[pos]
-				if b == naming.None {
-					continue
-				}
-				if v, ok := down.Get(naming.EncodePair(r.Name[j], b)); ok {
-					r.Len[j] = int32(l + step)
-					r.Name[j] = v
-				}
+			if v, ok := down.Get(naming.EncodePair(r.Name[j], b)); ok {
+				r.Len[j] = int32(l + step)
+				r.Name[j] = v
 			}
 		}
 	}
@@ -152,13 +110,6 @@ func newMatchState() *matchState {
 			if name := r.Name[j]; name != naming.Empty {
 				r.Pat[j] = lp[name]
 			}
-		}
-	}
-	ms.scanFn = func(wlo, whi int) {
-		if ms.d.filterWide {
-			ms.d.filter.ScanWordsWide(ms.syms[0], ms.cand, wlo, whi)
-		} else {
-			ms.d.filter.ScanWords(ms.syms[0], ms.cand, wlo, whi)
 		}
 	}
 	return ms
@@ -195,29 +146,21 @@ func (ms *matchState) release() {
 	ms.d, ms.r = nil, nil
 	ms.up, ms.down = nil, nil
 	ms.prev, ms.cur, ms.level = nil, nil, nil
-	ms.needed, ms.cand = nil, nil
 	msPool.Put(ms)
 }
 
 // spawn computes the level-k symbol arrays (the spawn half of
 // shrink-and-spawn): syms[k][j] names T[j .. j+2^k−1], or naming.None when
-// that substring does not occur block-aligned in any pattern. When needed is
-// non-nil, only positions in 64-blocks with a nonzero needed word are
-// computed and the rest are left untouched; the caller dilates the region so
-// every position a needed position's lookups read (directly at this level or
-// transitively at finer ones) is itself needed — values inside the region
-// are exact, values outside it are never read. Charges are those of the
-// unfiltered spawn.
-func (ms *matchState) spawn(c *pram.Ctx, needed []uint64) {
+// that substring does not occur block-aligned in any pattern.
+func (ms *matchState) spawn(c *pram.Ctx) {
 	d, n := ms.d, ms.n
-	ms.needed = needed
 	for k := 1; k < d.levels; k++ {
 		if c.Canceled() {
 			break
 		}
 		c.LabelLevel(k) // attribute this level's phase in CPU profiles
 		ms.prev = ms.syms[k-1]
-		ms.cur = sizedI32(ms.syms[k], n)
+		ms.cur = pram.ResizeInt32(ms.syms[k], n)
 		ms.syms[k] = ms.cur
 		ms.half = 1 << uint(k-1)
 		ms.up = d.up[k]
@@ -229,13 +172,10 @@ func (ms *matchState) spawn(c *pram.Ctx, needed []uint64) {
 // levels, each position's match grows by 2^k or stays, via one down[k]
 // lookup. The §4.1 guarantee — if no shrunk prefix of length t+1 matches, no
 // original prefix of length 2t+2 matches — makes the single probe per level
-// sufficient. A non-nil cand restricts the cascade to candidate positions
-// (bit j of cand[j/64]); each position's state is independent, so skipping a
-// position only suppresses its own outputs. Charges are those of the
-// unfiltered unwind.
-func (ms *matchState) unwind(c *pram.Ctx, cand []uint64) {
+// sufficient. Each position's state is independent: a position whose Len
+// reaches the text end is passed over at every level without a probe.
+func (ms *matchState) unwind(c *pram.Ctx) {
 	d, n := ms.d, ms.n
-	ms.cand = cand
 	for k := d.levels - 1; k >= 0; k-- {
 		if c.Canceled() {
 			break
@@ -250,12 +190,10 @@ func (ms *matchState) unwind(c *pram.Ctx, cand []uint64) {
 
 // Match finds, for every text position, the longest dictionary prefix and
 // the longest pattern beginning there (Theorem 1/3 text processing:
-// O(n·log m) work, O(log m) depth on the instrumented counters). When the
-// dictionary has a prefilter enabled (see EnablePrefilter) the scan skips
-// positions the filter screens out; outputs at skipped positions report "no
-// match" (sound for Pat — the filter never screens a true match — but Len
-// and Name are then lower bounds only, which is why the public API withholds
-// prefix lengths on filtered matchers).
+// O(n·log m) work, O(log m) depth on the instrumented counters). With a
+// prefilter enabled (see EnablePrefilter) Pat is exact and Len and Name come
+// back empty (see matchScreened), which is why the public API withholds
+// prefix lengths on filtered matchers.
 func (d *Dict) Match(c *pram.Ctx, text []int32) *Result {
 	r := &Result{}
 	d.MatchInto(c, text, r)
@@ -266,75 +204,139 @@ func (d *Dict) Match(c *pram.Ctx, text []int32) *Result {
 // suffices — together with the pooled internal scratch, the allocation-free
 // steady-state entry point.
 func (d *Dict) MatchInto(c *pram.Ctx, text []int32, r *Result) {
+	if d.filter == nil || len(text) == 0 {
+		d.cascade(c, text, r, nil)
+		return
+	}
+	d.matchScreened(c, text, r)
+}
+
+// cascade runs the whole match over text into r: Fill(Name) with Len's
+// zeroing, Fill(Pat), the spawn and unwind levels and the final pattern
+// resolution — (2L+2)·n work at depth 2L+2, L = Levels. A non-nil init
+// replaces the Len/Name initialisation.
+func (d *Dict) cascade(c *pram.Ctx, text []int32, r *Result, init func(lo, hi int)) {
 	n := len(text)
-	r.Len = sizedI32(r.Len, n)
-	r.Name = sizedI32(r.Name, n)
-	r.Pat = sizedI32(r.Pat, n)
+	r.Len = pram.ResizeInt32(r.Len, n)
+	r.Name = pram.ResizeInt32(r.Name, n)
+	r.Pat = pram.ResizeInt32(r.Pat, n)
 	ms := acquireState(d, r, text)
 	defer ms.release()
-	// Two n/1-charged phases initialize the outputs — the same Fill(Name) and
-	// Fill(Pat) charges the engine always made; Len's zeroing rides in the
-	// first (it historically relied on make zeroing, which pooled buffers do
-	// not provide).
-	c.ForChunk(n, ms.initFn)
+	if init == nil {
+		init = ms.initFn
+	}
+	c.ForChunk(n, init)
 	c.ForChunk(n, ms.patFn)
 	if n == 0 || d.maxLen == 0 {
 		return
 	}
-
-	if d.filter != nil {
-		d.matchFiltered(c, ms)
-	} else {
-		ms.spawn(c, nil)
-		ms.unwind(c, nil)
-	}
-
+	ms.spawn(c)
+	ms.unwind(c)
 	c.ForChunk(n, ms.finalFn)
 }
 
-// matchFiltered runs the prefilter screen and then the cascade restricted to
-// surviving positions. The screen and its bookkeeping execute as uncounted
-// phases (pram.ForChunkUncounted): the counted Work/Depth of a filtered
-// match is byte-identical to the unfiltered one, and filter effectiveness is
-// reported through the scheduler statistics instead (Ctx.NotePrefilter).
-func (d *Dict) matchFiltered(c *pram.Ctx, ms *matchState) {
-	n := ms.n
-	words := (n + 63) >> 6
-	cand := pram.AcquireUint64(words)
-	ms.cand = cand
-	c.ForChunkUncounted(words, ms.scanFn)
+// filterState is the pooled scratch of a filtered match, its bodies bound
+// once like matchState's.
+type filterState struct {
+	d    *Dict
+	r    *Result
+	text []int32
+	cand []uint64 // survivor bits: bit j%64 of cand[j/64]
+	win  Windows
+	res  Result // the window pass's outputs over the window buffer
 
-	// Dilate the candidate words rightward so the spawn levels compute every
-	// position a candidate's cascade can read: position j reads syms values
-	// up to j + maxLen (cascade extension) plus the transitive right-spread
-	// of the spawn recursion (at most 2^levels). Working at 64-position
-	// block granularity, dw blocks cover that reach.
-	dil := pram.AcquireUint64(words)
-	dw := (d.maxLen+(1<<uint(d.levels)))>>6 + 1
-	last := -(dw + 1)
-	for w := 0; w < words; w++ {
-		if cand[w] != 0 {
-			last = w
-		}
-		if w-last <= dw {
-			dil[w] = 1
+	screenFn, parkFn, fillFn func(lo, hi int)
+	passFn                   func(c *pram.Ctx, buf []int32) (pat, plen []int32)
+}
+
+var fsPool = sync.Pool{New: func() any {
+	fs := &filterState{}
+	fs.screenFn = func(wlo, whi int) {
+		if fs.d.filterWide {
+			fs.d.filter.ScanWordsWide(fs.text, fs.cand, wlo, whi)
 		} else {
-			dil[w] = 0
+			fs.d.filter.ScanWords(fs.text, fs.cand, wlo, whi)
 		}
 	}
-
-	if obs.Enabled() {
-		alive := 0
-		for _, w := range cand {
-			alive += bits.OnesCount64(w)
+	fs.parkFn = func(lo, hi int) {
+		r, cand, n := fs.r, fs.cand, len(fs.text)
+		for j := lo; j < hi; j++ {
+			r.Name[j] = naming.Empty
+			r.Len[j] = 0
+			if cand[j>>6]&(1<<uint(j&63)) == 0 {
+				r.Len[j] = int32(n - j) // parked at the text end
+			}
 		}
-		c.NotePrefilter(int64(n), int64(n-alive))
 	}
+	fs.fillFn = func(lo, hi int) { fillNone(fs.r.Pat[lo:hi]) }
+	fs.passFn = func(c *pram.Ctx, buf []int32) ([]int32, []int32) {
+		fs.d.cascade(c, buf, &fs.res, nil)
+		return fs.res.Pat, nil
+	}
+	return fs
+}}
 
-	ms.spawn(c, dil)
-	ms.unwind(c, cand)
-	pram.ReleaseUint64(cand)
-	pram.ReleaseUint64(dil)
+// matchScreened is the filtered match: the prefilter screen, then one cascade
+// over the survivors' windows (see Windows). Positions outside every window
+// get no match and no cascade work, exact because the screen is one-sided.
+// When the windows would cover more than half the text, copying them costs
+// more than it saves, so the cascade runs over the whole text in place with
+// every screened position parked at the text end, where no unwind level
+// probes a table for it (past 2^31 positions the parked Len would overflow).
+// Counted Work/Depth equal the unfiltered match's (2L+2)·n at depth 2L+2:
+// the in-place cascade charges that, and the window path tops up the window
+// pass's (2L+2)·w. The screen and the −1 fill of Pat are uncounted.
+func (d *Dict) matchScreened(c *pram.Ctx, text []int32, r *Result) {
+	n := len(text)
+	fs := fsPool.Get().(*filterState)
+	fs.d, fs.r, fs.text = d, r, text
+	fs.cand = pram.AcquireUint64((n + 63) >> 6)
+	defer fs.release()
+	c.ForChunkUncounted("prefilter", len(fs.cand), fs.screenFn)
+
+	fs.win.Reset(d.maxLen)
+	alive := 0
+	for w, word := range fs.cand {
+		for j := w << 6; word != 0; {
+			z := bits.TrailingZeros64(word)
+			word >>= uint(z)
+			k := bits.TrailingZeros64(^word) // the run of survivors at j+z
+			j += z
+			fs.win.Keep(j, j+k)
+			alive += k
+			word >>= uint(k)
+			j += k
+		}
+	}
+	c.NotePrefilter(int64(n), int64(n-alive))
+
+	if w := fs.win.Scanned(n); 2*w > n && n <= math.MaxInt32 {
+		d.cascade(c, text, r, fs.parkFn)
+	} else {
+		phases := int64(2*d.levels + 2)
+		c.AddWork(phases * int64(n-w))
+		if w == 0 {
+			c.AddDepth(phases)
+		}
+		r.Pat = pram.ResizeInt32(r.Pat, n)
+		c.ForChunkUncounted("phase", n, fs.fillFn)
+		fs.win.Scan(c, text, fs.passFn, r.Pat, nil)
+	}
+	r.Len, r.Name = r.Len[:0], r.Name[:0]
+}
+
+func (fs *filterState) release() {
+	pram.ReleaseUint64(fs.cand)
+	fs.res.Release()
+	fs.d, fs.r, fs.text, fs.cand = nil, nil, nil, nil
+	fsPool.Put(fs)
+}
+
+// fillNone sets s to -1 at memmove speed: one store, then doubling copies.
+func fillNone(s []int32) {
+	for k := copy(s, []int32{-1}); k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
+	}
 }
 
 // SpawnText computes the level-k symbol arrays for the text: syms[k][j]
@@ -345,7 +347,7 @@ func (d *Dict) matchFiltered(c *pram.Ctx, ms *matchState) {
 // arrays are the caller's to keep (they are not pooled).
 func (d *Dict) SpawnText(c *pram.Ctx, text []int32) [][]int32 {
 	ms := acquireState(d, nil, text)
-	ms.spawn(c, nil)
+	ms.spawn(c)
 	syms := make([][]int32, len(ms.syms))
 	copy(syms, ms.syms)
 	// Detach the level arrays from the pool: the caller owns them now.
@@ -354,7 +356,7 @@ func (d *Dict) SpawnText(c *pram.Ctx, text []int32) [][]int32 {
 	}
 	ms.syms = ms.syms[:0]
 	ms.d, ms.r = nil, nil
-	ms.up, ms.prev, ms.cur, ms.needed = nil, nil, nil, nil
+	ms.up, ms.prev, ms.cur = nil, nil, nil
 	msPool.Put(ms)
 	return syms
 }
@@ -372,8 +374,8 @@ func (d *Dict) MatchLongestPrefix(c *pram.Ctx, text []int32) *Result {
 	if n == 0 || d.maxLen == 0 {
 		return r
 	}
-	ms.spawn(c, nil)
-	ms.unwind(c, nil)
+	ms.spawn(c)
+	ms.unwind(c)
 	return r
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"pardict/internal/naming"
@@ -191,8 +192,10 @@ func Load(c *pram.Ctx, r io.Reader) (*Dict, error) {
 		}
 		*dst = arr
 	}
-	if len(d.lenOfName) != d.nameCount || len(d.lp) != d.nameCount {
-		return nil, fmt.Errorf("%w: name array length mismatch", ErrBadFormat)
+	for _, arr := range [][]int32{d.lenOfName, d.repPat, d.patOfName, d.lp} {
+		if len(arr) != d.nameCount {
+			return nil, fmt.Errorf("%w: name array length mismatch", ErrBadFormat)
+		}
 	}
 	if len(d.nextShort) != int(np) || len(d.patNames) != int(np) {
 		return nil, fmt.Errorf("%w: pattern array length mismatch", ErrBadFormat)
@@ -214,7 +217,48 @@ func Load(c *pram.Ctx, r io.Reader) (*Dict, error) {
 		}
 		d.down[k] = t
 	}
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// validate checks every value that matching or expansion uses as an index,
+// and the header fields the window mechanism relies on. Load reads untrusted
+// bytes: a version-1 stream carries no checksum, and a checksum catches
+// corruption, not a crafted stream.
+func (d *Dict) validate() error {
+	longest := 0
+	for _, p := range d.patterns {
+		longest = max(longest, len(p))
+	}
+	if d.maxLen != longest || d.levels != bits.Len(uint(longest)) {
+		return fmt.Errorf("%w: header disagrees with the patterns", ErrBadFormat)
+	}
+	names, np := int32(d.nameCount), int32(len(d.patterns))
+	in := func(xs []int32, lo, hi int32) bool {
+		for _, x := range xs {
+			if x < lo || x >= hi {
+				return false
+			}
+		}
+		return true
+	}
+	ok := in(d.patNames, 0, names) && in(d.repPat, 0, np) && in(d.lenOfName, 1, int32(d.maxLen)+1) &&
+		in(d.lp, -1, np) && in(d.patOfName, -1, np) && in(d.nextShort, -1, np)
+	for _, row := range d.pn {
+		ok = ok && in(row, 0, names)
+	}
+	for _, t := range d.down {
+		t.Range(func(_ uint64, v int32) bool {
+			ok = ok && v < names
+			return ok
+		})
+	}
+	if !ok {
+		return fmt.Errorf("%w: table value out of range", ErrBadFormat)
+	}
+	return nil
 }
 
 func readInt32s(r io.Reader) ([]int32, error) {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"pardict/internal/naming"
 	"pardict/internal/workload"
 )
 
@@ -73,6 +75,43 @@ func TestDictLoadRejectsCorruption(t *testing.T) {
 	bad2[12] = 0xFF
 	if _, err := Load(c, bytes.NewReader(bad2)); err == nil {
 		t.Fatal("accepted implausible header")
+	}
+
+	// Well-formed streams carrying one out-of-range value: every value that
+	// matching or expansion uses as an index is checked, so none loads.
+	for name, mutate := range map[string]func(d *Dict){
+		"down value": func(d *Dict) {
+			top := d.down[d.levels-1]
+			var keys []uint64
+			var vals []int32
+			top.Range(func(k uint64, v int32) bool {
+				keys, vals = append(keys, k), append(vals, v)
+				return true
+			})
+			vals[len(vals)-1] = 1 << 20
+			d.down[d.levels-1] = naming.FreezeKeys(c, keys, vals, len(keys))
+		},
+		"pn":        func(d *Dict) { d.pn[0][0] = int32(d.nameCount) },
+		"patNames":  func(d *Dict) { d.patNames[0] = -1 },
+		"repPat":    func(d *Dict) { d.repPat[0] = int32(len(d.patterns)) },
+		"lenOfName": func(d *Dict) { d.lenOfName[0] = int32(d.maxLen) + 1 },
+		"lp":        func(d *Dict) { d.lp[0] = -2 },
+		"patOfName": func(d *Dict) { d.patOfName[0] = int32(len(d.patterns)) },
+		"nextShort": func(d *Dict) { d.nextShort[0] = int32(len(d.patterns)) },
+		"maxLen":    func(d *Dict) { d.maxLen++ },
+	} {
+		ld, err := Load(c, bytes.NewReader(good))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(ld)
+		var b bytes.Buffer
+		if _, err := ld.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(c, &b); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%s out of range: Load returned %v, want ErrBadFormat", name, err)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ type Pool struct {
 	// locally first, so per-chunk claims stay counter-free). The queue and
 	// park fields piggyback on sections that already hold mu. All updates
 	// are gated on obs.Enabled at phase (or park) granularity.
-	phases   atomic.Int64 // parallel phases issued through ForChunk
+	phases   atomic.Int64 // parallel phases issued, counted or not
 	pooled   atomic.Int64 // phases fanned out to the worker pool
 	chunks   atomic.Int64 // chunks executed by pooled phases
 	steals   atomic.Int64 // chunks claimed outside the claimant's own span

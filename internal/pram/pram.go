@@ -216,6 +216,21 @@ func (c *Ctx) ForChunk(n int, body func(lo, hi int)) {
 	}
 	c.work.Add(int64(n))
 	c.depth.Add(1)
+	c.ForChunkUncounted("phase", n, body)
+}
+
+// ForChunkUncounted runs body(lo, hi) over a partition of [0, n) as one
+// parallel phase that charges NO work and NO depth, recording a trace span
+// called name. It exists for execution-layer passes outside the counted
+// algorithm — the prefilter screen ("prefilter") and a filtered match's
+// window pass and fill ("phase"), whose unfiltered cost the match charges
+// itself — so the Work/Depth figures of a filtered match stay byte-identical
+// to the unfiltered one. Scheduling, chunking, cancellation and the
+// scheduler statistics behave exactly like ForChunk.
+func (c *Ctx) ForChunkUncounted(name string, n int, body func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
 	grain := c.pool.grainFor(n)
 	if obs.Enabled() {
 		c.pool.phases.Add(1)
@@ -230,45 +245,10 @@ func (c *Ctx) ForChunk(n int, body func(lo, hi int)) {
 		}
 		return
 	}
-	sp := c.tr.StartSpan("phase", int64(n))
+	sp := c.tr.StartSpan(name, int64(n))
 	if c.pool.procs == 1 {
 		// Inline execution, still at chunk granularity so cancellation
 		// aborts a long phase partway through.
-		for lo := 0; lo < n; lo += grain {
-			if c.Canceled() {
-				break
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
-		}
-		sp.End()
-		return
-	}
-	sp.EndArg(c.pool.run(c, n, grain, body))
-}
-
-// ForChunkUncounted runs body(lo, hi) over a partition of [0, n) as one
-// parallel phase that charges NO work and NO depth. It exists for execution-
-// layer passes that are not part of the counted algorithm — the bit-parallel
-// prefilter sweep is the only intended user — so the Work/Depth figures of a
-// filtered match stay byte-identical to the unfiltered one. Scheduling,
-// chunking, and cancellation behave exactly like ForChunk.
-func (c *Ctx) ForChunkUncounted(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	grain := c.pool.grainFor(n)
-	if n <= grain {
-		if !c.Canceled() {
-			body(0, n)
-		}
-		return
-	}
-	sp := c.tr.StartSpan("prefilter", int64(n))
-	if c.pool.procs == 1 {
 		for lo := 0; lo < n; lo += grain {
 			if c.Canceled() {
 				break

@@ -61,6 +61,17 @@ func ReleaseInt32(s []int32) {
 	slabI32[slabClass(c)].Put(p)
 }
 
+// ResizeInt32 returns s resized to length n, reusing its storage when the
+// capacity suffices and trading it back to the pools otherwise. The contents
+// are arbitrary.
+func ResizeInt32(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	ReleaseInt32(s)
+	return AcquireInt32(n)
+}
+
 // AcquireUint64 returns a uint64 slice of length n from the slab pools. The
 // contents are arbitrary; pair with ReleaseUint64.
 func AcquireUint64(n int) []uint64 {

@@ -26,8 +26,12 @@ const fuzzWindow = 8 // mirrors prefilter.window for the tail-word predicate
 //     ScanWordsWide and ScanWords (the documented scalar fallback);
 //  3. no stray candidate bits past the end of the text;
 //  4. cascade equivalence — the general engine's longest-pattern output and
-//     counted Work/Depth are identical with the prefilter off, scalar, and
+//     counted Work and Depth are identical with the prefilter off, scalar, and
 //     wide (the execution-layer contract).
+//
+// The checked-in corpus pins the filtered match's window boundaries: a
+// survivor in the last W−1 positions (window-tail), two survivors exactly 2W
+// and 2W+1 apart, and every position a survivor (window-all).
 func FuzzPrefilterWide(f *testing.F) {
 	f.Add(int64(1), byte(4), byte(2), byte(1), []byte("abracadabra-alakazam-abracadabra"))
 	f.Add(int64(2), byte(1), byte(0), byte(2), []byte("\x00\x01\x00\x01\x00\x01\x00\x01"))
@@ -94,9 +98,9 @@ func FuzzPrefilterWide(f *testing.F) {
 			t.Fatal(err)
 		}
 		type armOut struct {
-			name string
-			pat  []int32
-			work int64
+			name        string
+			pat         []int32
+			work, depth int64
 		}
 		arms := []armOut{{name: "off"}, {name: "scalar"}, {name: "wide"}}
 		for i := range arms {
@@ -112,13 +116,14 @@ func FuzzPrefilterWide(f *testing.F) {
 			r := &core.Result{}
 			d.MatchInto(c, text, r)
 			arms[i].pat = append([]int32(nil), r.Pat...)
-			arms[i].work = c.Work()
+			arms[i].work, arms[i].depth = c.Work(), c.Depth()
 			r.Release()
 		}
 		d.DisablePrefilter()
 		for _, arm := range arms[1:] {
-			if arm.work != arms[0].work {
-				t.Fatalf("%s cascade changed counted work: %d vs %d", arm.name, arm.work, arms[0].work)
+			if arm.work != arms[0].work || arm.depth != arms[0].depth {
+				t.Fatalf("%s cascade changed counted cost: work %d depth %d vs %d, %d",
+					arm.name, arm.work, arm.depth, arms[0].work, arms[0].depth)
 			}
 			for j := range arms[0].pat {
 				if arm.pat[j] != arms[0].pat[j] {

@@ -68,7 +68,9 @@ func FuzzLZRoundTrip(f *testing.F) {
 // redundancy-amplified splice (text ‖ text[off:] ‖ text) so copy phrases
 // straddle planted pattern occurrences. MatchCompressed must agree with
 // Match over the decoded text position by position — Longest, All-chain, and
-// PrefixLen availability — with the prefilter off and wide.
+// PrefixLen availability — with the prefilter off and wide. The checked-in
+// window-* seeds put a wide-screen survivor in the last W−1 positions, two
+// survivors exactly 2W and 2W+1 apart, and a survivor at every position.
 func FuzzMatchCompressed(f *testing.F) {
 	f.Add([]byte("he\xfeshe\xfehis\xfehers\xffushershe"), byte(3), uint32(2))
 	f.Add([]byte("a\xfeaa\xfeaaa\xffaaaaaaaaaaaa"), byte(0), uint32(1))

@@ -14,12 +14,12 @@ import (
 // exactly what Match(ct.Decode()) would: per position, the longest pattern
 // starting there. The engine only scans the factorization's "relevant
 // windows" — literal phrases and the last MaxLen-1 positions of copy phrases,
-// merged into segments with MaxLen-1 lookahead — and every position strictly
+// merged and scanned with MaxLen-1 lookahead — and every position strictly
 // interior to a copy phrase is resolved by occurrence translation from the
 // phrase's source interval, one array read instead of an automaton
 // traversal. On redundant inputs the counted engine work therefore scales
 // with the compressed size plus output, not the decoded length; on
-// incompressible inputs the segments merge into one whole-text scan and the
+// incompressible inputs the windows merge into one whole-text scan and the
 // cost degenerates to Match plus the (linear, memcpy-speed) decode.
 func (m *Matcher) MatchCompressed(ct *CompressedText) *Matches {
 	r, _ := m.MatchCompressedContext(context.Background(), ct)
@@ -43,146 +43,65 @@ func (m *Matcher) MatchCompressedContext(gctx context.Context, ct *CompressedTex
 	return out, nil
 }
 
-// segMergeGapFactor: adjacent scan segments closer than gap ≤ 2W merge into
-// one. Scanning the gap costs at most the gap itself; a separate segment
-// costs W-1 lookahead re-scan plus a phase cascade, so small gaps are cheaper
-// scanned through. On an incompressible parse (all literals) every segment
-// merges and the scan degenerates to one full-text pass.
-const segMergeGapFactor = 2
-
 // decodeBufs pools the decoded-text scratch of matchCompressedOn.
 var decodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // matchCompressedOn is the compressed-domain core: decode, encode once, scan
-// only the segment windows with the configured engine, then translate copy
-// interiors. Correctness rests on the window-local property: the longest
-// pattern (and dictionary prefix) starting at position p is a function of
-// T[p : p+W) alone, W = MaxLen. A position p strictly interior to a copy
-// phrase [s, e) — meaning p ≤ e-W — has its whole window inside the phrase,
-// so T[p : p+W) equals T[q : q+W) at q = p-(s-src), and its answer is a copy
-// of q's. Since s-src ≥ 1, q < p, a single left-to-right translation pass
-// finds q already final (scanned, or translated earlier). Everything not
-// interior lies in a scanned segment, and each segment is scanned with W-1
-// lookahead so matches extending past its end are found.
+// only the windows with the configured engine, then translate copy
+// interiors. Correctness rests on the window-local property (see
+// core.Windows): the answer at p depends on T[p : p+W) alone, W = MaxLen. A
+// position p strictly interior to a copy phrase [s, e) — meaning p ≤ e-W —
+// has its whole window inside the phrase, so T[p : p+W) equals T[q : q+W) at
+// q = p-(s-src), and its answer is a copy of q's. Since s-src ≥ 1, q < p, a
+// single left-to-right translation pass finds q already final (scanned, or
+// translated earlier). Every other position is kept in a window.
 func (m *Matcher) matchCompressedOn(ctx *pram.Ctx, out *Matches, t *lz.Text) {
 	out.m = m
 	n := t.Len()
 
 	// Decode (one counted linear phase: honest accounting of the only
 	// full-length pass the compressed tier keeps), then encode the symbols
-	// once — the engine scans sub-slices of this one encoding.
+	// once — the windows are cut from this one encoding.
 	bufp := decodeBufs.Get().(*[]byte)
 	if cap(*bufp) < n {
 		*bufp = make([]byte, n)
 	}
 	text := (*bufp)[:n]
 	ctx.Phase(int64(n), func() { t.DecodeInto(text) })
-	if cap(out.enc) < n {
-		pram.ReleaseInt32(out.enc)
-		out.enc = pram.AcquireInt32(n)
-	}
-	out.enc = m.enc.EncodeInto(out.enc, text)
-	enc := out.enc
+	out.enc = m.enc.EncodeInto(pram.ResizeInt32(out.enc, n), text)
 
 	// Result buffers live in out.res for every engine so Matches.Release
 	// returns them to the slab pools.
 	if out.res == nil {
 		out.res = &core.Result{}
 	}
-	out.res.Pat = sizedSlab(out.res.Pat, n)
-	out.pat = out.res.Pat
-	wantPlen := m.engine == EngineGeneral && !m.filtered
-	if wantPlen {
-		out.res.Len = sizedSlab(out.res.Len, n)
+	out.res.Pat = pram.ResizeInt32(out.res.Pat, n)
+	out.pat, out.plen = out.res.Pat, nil
+	if m.engine == EngineGeneral && !m.filtered {
+		out.res.Len = pram.ResizeInt32(out.res.Len, n)
 		out.plen = out.res.Len
-	} else {
-		out.plen = nil
 	}
 
-	W := m.maxLen
-	if W < 1 {
-		W = 1
-	}
-
-	// Build the scan segments: whole literal phrases, the last W-1 positions
-	// of copy phrases, merged when the gap is small.
-	type seg struct{ a, b int }
-	var segs []seg
+	// Scan the windows (see core.Windows): whole literal phrases and the last
+	// W-1 positions of copy phrases, in one engine pass.
+	W := max(m.maxLen, 1)
+	var win core.Windows
+	win.Reset(W)
 	for i := 0; i < t.Phrases(); i++ {
 		s, e := t.PhraseBounds(i)
-		a := s
 		if t.PhraseSrc(i) >= 0 {
-			if a < e-(W-1) {
-				a = e - (W - 1)
-			}
+			s = max(s, e-(W-1))
 		}
-		if len(segs) > 0 && a-segs[len(segs)-1].b <= segMergeGapFactor*W {
-			segs[len(segs)-1].b = e
-		} else {
-			segs = append(segs, seg{a, e})
-		}
+		win.Keep(s, e)
 	}
-
-	// Concatenate the segments (each with its W-1 lookahead) into one buffer
-	// and scan it with a single engine pass: one parallel cascade, not one per
-	// segment — the per-phase dispatch cost would otherwise swamp the skipped
-	// bytes on phrase-dense parses. A kept position p ∈ [a, b) of a segment
-	// reads only its own segment's bytes: its window ends by b+W-1, which is
-	// inside the segment's slice (a segment clamped by text end is provably
-	// the last one — any follower within W-1 would have merged). Positions in
-	// the lookahead tail compute junk against the next segment's bytes and are
-	// simply not copied back.
-	scanned, kept := 0, 0
-	for _, sg := range segs {
-		hi := sg.b + W - 1
-		if hi > n {
-			hi = n
-		}
-		scanned += hi - sg.a
-		kept += sg.b - sg.a
-	}
-	if len(segs) > 0 && !ctx.Canceled() {
-		scanBuf := pram.AcquireInt32(scanned)
-		off := 0
-		offs := make([]int, len(segs))
-		for k, sg := range segs {
-			hi := sg.b + W - 1
-			if hi > n {
-				hi = n
-			}
-			offs[k] = off
-			off += copy(scanBuf[off:], enc[sg.a:hi])
-		}
-		var pat, plen []int32
-		segRes := &core.Result{}
-		switch m.engine {
-		case EngineGeneral:
-			m.general.MatchInto(ctx, scanBuf, segRes)
-			pat, plen = segRes.Pat, segRes.Len
-		case EngineSmallAlphabet:
-			if m.binary != nil {
-				pat = m.binary.Match(ctx, scanBuf)
-			} else {
-				pat = m.small.Match(ctx, scanBuf)
-			}
-		case EngineEqualLength:
-			pat = m.equal.Match(ctx, scanBuf)
-		}
-		if !ctx.Canceled() {
-			for k, sg := range segs {
-				keep := sg.b - sg.a
-				copy(out.pat[sg.a:sg.b], pat[offs[k]:offs[k]+keep])
-				if wantPlen {
-					copy(out.plen[sg.a:sg.b], plen[offs[k]:offs[k]+keep])
-				}
-			}
-		}
-		segRes.Release()
-		pram.ReleaseInt32(scanBuf)
-		if obs.Enabled() {
-			lz.WindowsScanned.Add(int64(len(segs)))
-			lz.WindowBytes.Add(int64(scanned))
-		}
+	seg := &core.Result{}
+	win.Scan(ctx, out.enc, func(c *pram.Ctx, buf []int32) ([]int32, []int32) {
+		return m.engineMatch(c, buf, seg)
+	}, out.pat, out.plen)
+	seg.Release()
+	if obs.Enabled() {
+		lz.WindowsScanned.Add(int64(win.Len()))
+		lz.WindowBytes.Add(int64(win.Scanned(n)))
 	}
 
 	// Translate copy-phrase interiors left to right. This is the
@@ -201,7 +120,7 @@ func (m *Matcher) matchCompressedOn(ctx *pram.Ctx, out *Matches, t *lz.Text) {
 			for p := s; p <= e-W; p++ {
 				out.pat[p] = out.pat[p-delta]
 			}
-			if wantPlen {
+			if out.plen != nil {
 				for p := s; p <= e-W; p++ {
 					out.plen[p] = out.plen[p-delta]
 				}
@@ -214,20 +133,10 @@ func (m *Matcher) matchCompressedOn(ctx *pram.Ctx, out *Matches, t *lz.Text) {
 		ctx.AddDepth(1)
 		if obs.Enabled() {
 			lz.InteriorTranslated.Add(int64(translated))
-			lz.BytesSkipped.Add(int64(n - kept))
+			lz.BytesSkipped.Add(int64(n - win.Kept()))
 		}
 	}
 
 	decodeBufs.Put(bufp)
 	out.stats = statsOf(ctx)
-}
-
-// sizedSlab returns s resized to n, reallocating from the slab pools when its
-// capacity is short (mirrors core's sizedI32).
-func sizedSlab(s []int32, n int) []int32 {
-	if cap(s) < n {
-		pram.ReleaseInt32(s)
-		s = pram.AcquireInt32(n)
-	}
-	return s[:n]
 }

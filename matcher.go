@@ -35,7 +35,7 @@ type Matcher struct {
 	// filtered reports that the general engine's bit-parallel prefilter is
 	// active (WithPrefilter). Filtered matchers withhold PrefixLen: the
 	// prefilter screens positions where no pattern can start, which keeps
-	// pattern output exact but makes prefix lengths lower bounds.
+	// pattern output exact but leaves prefix lengths uncomputed.
 	filtered bool
 
 	// Proper-prefix chain for all-matches expansion: nextShorter[p] = the
@@ -316,34 +316,36 @@ func (m *Matcher) SchedulerStats() SchedulerStats {
 // capacity suffices. The result is only meaningful if ctx was not canceled.
 func (m *Matcher) matchOn(ctx *pram.Ctx, out *Matches, text []byte) {
 	out.m = m
-	if cap(out.enc) < len(text) {
-		pram.ReleaseInt32(out.enc)
-		out.enc = pram.AcquireInt32(len(text))
+	esp := ctx.Trace().StartSpan("encode", int64(len(text)))
+	out.enc = m.enc.EncodeInto(pram.ResizeInt32(out.enc, len(text)), text)
+	esp.End()
+	if out.res == nil {
+		out.res = &core.Result{}
 	}
-	out.enc = m.enc.EncodeInto(out.enc, text)
-	enc := out.enc
+	out.pat, out.plen = m.engineMatch(ctx, out.enc, out.res)
+	out.stats = statsOf(ctx)
+}
+
+// engineMatch runs the configured engine over enc, the general engine
+// writing into res. It returns the longest pattern per position, and the
+// longest prefix length per position on the unfiltered general engine (nil
+// elsewhere: a filtered match computes none).
+func (m *Matcher) engineMatch(ctx *pram.Ctx, enc []int32, res *core.Result) (pat, plen []int32) {
 	switch m.engine {
 	case EngineGeneral:
-		if out.res == nil {
-			out.res = &core.Result{}
-		}
-		m.general.MatchInto(ctx, enc, out.res)
-		out.pat = out.res.Pat
+		m.general.MatchInto(ctx, enc, res)
 		if m.filtered {
-			out.plen = nil // filtered prefix lengths are lower bounds; withhold
-		} else {
-			out.plen = out.res.Len
+			return res.Pat, nil
 		}
+		return res.Pat, res.Len
 	case EngineSmallAlphabet:
 		if m.binary != nil {
-			out.pat = m.binary.Match(ctx, enc)
-		} else {
-			out.pat = m.small.Match(ctx, enc)
+			return m.binary.Match(ctx, enc), nil
 		}
-	case EngineEqualLength:
-		out.pat = m.equal.Match(ctx, enc)
+		return m.small.Match(ctx, enc), nil
+	default:
+		return m.equal.Match(ctx, enc), nil
 	}
-	out.stats = statsOf(ctx)
 }
 
 // MatchInto is Match writing into dst (which may be nil or a Matches from an
@@ -454,8 +456,8 @@ func (r *Matches) Count() int {
 // PrefixLen reports the length of the longest dictionary prefix starting at
 // position i — the Step 1 prefix-matching output (Theorem 1). It is
 // available on the general engine without a prefilter; other engines, and
-// prefiltered matchers (whose screened positions make prefix lengths lower
-// bounds), report ok = false.
+// prefiltered matchers (which compute no prefix lengths at screened
+// positions), report ok = false.
 func (r *Matches) PrefixLen(i int) (int, bool) {
 	if r.plen == nil {
 		return 0, false

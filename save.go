@@ -222,9 +222,9 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 		if engLen > 1<<31 {
 			return nil, fmt.Errorf("pardict: load: implausible engine payload size %d", engLen)
 		}
-		blob, err := readBytes(cr, engLen)
-		if err != nil {
-			return nil, fmt.Errorf("pardict: load: %w: truncated engine payload (%w)", ErrCorruptSave, err)
+		blob, rerr := readBytes(cr, engLen)
+		if rerr != nil {
+			return nil, fmt.Errorf("pardict: load: %w: truncated engine payload (%w)", ErrCorruptSave, rerr)
 		}
 		// Verify before compiling: the checksum (read around the hashing
 		// layer) must match everything parsed so far.
@@ -248,6 +248,15 @@ func LoadMatcher(r io.Reader, opts ...Option) (*Matcher, error) {
 	// would hang All.
 	if m.nextShorter, err = prefixChain(m.encoded); err != nil {
 		return nil, err
+	}
+	// All indexes the list's chain with the engine's pattern ids, so the
+	// engine must hold exactly the list's patterns.
+	same := m.general.PatternCount() == len(m.encoded)
+	for i := 0; same && i < len(m.encoded); i++ {
+		same = slices.Equal(m.general.Pattern(i), m.encoded[i])
+	}
+	if !same {
+		return nil, fmt.Errorf("pardict: load: %w: engine patterns differ from the pattern list", core.ErrBadFormat)
 	}
 	// The prefilter is derived state, not part of the save format: rebuild it
 	// from the loaded patterns per the load-time options.

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pardict/internal/core"
 	"pardict/internal/workload"
 )
 
@@ -269,16 +270,46 @@ func TestLoadAllocatesByBytesRead(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsForeignEngine: a checksummed stream whose engine payload
+// compiles more patterns than its pattern list must not load — All would
+// index the list's chain with the engine's pattern ids.
+func TestLoadRejectsForeignEngine(t *testing.T) {
+	m, err := NewMatcher([][]byte{[]byte("he"), []byte("she"), []byte("hers")}, WithEngine(EngineGeneral))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.patterns = m.patterns[:2]
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil { // Save recomputes the checksum
+		t.Fatal(err)
+	}
+	if _, err := LoadMatcher(&buf); !errors.Is(err, core.ErrBadFormat) {
+		t.Fatalf("err = %v, want core.ErrBadFormat", err)
+	}
+}
+
 // FuzzLoadMatcher feeds LoadMatcher arbitrary bytes, as /reload does with a
 // request body. It must return an error or a matcher, never panic or abort;
-// a stream it accepts must round-trip its pattern list through Save. The
-// checked-in seeds are a version-2 stream, a version-1 stream and a header
-// declaring 2^28 patterns.
+// a stream it accepts must match (Longest and All at every position of a
+// text holding the input and every pattern) and round-trip its pattern list
+// through Save. The checked-in seeds are a version-2 stream, a version-1
+// stream, a header declaring 2^28 patterns, and a version-2 stream whose
+// last down-table value is 1<<20 under a recomputed checksum.
 func FuzzLoadMatcher(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadMatcher(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		text := append([]byte(nil), data...)
+		for i := 0; i < m.PatternCount(); i++ {
+			text = append(text, m.Pattern(i)...)
+		}
+		r := m.Match(text)
+		var all []int
+		for i := 0; i < r.Len(); i++ {
+			r.Longest(i)
+			all = r.All(i, all[:0])
 		}
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
