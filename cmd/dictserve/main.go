@@ -21,21 +21,18 @@
 //	DELETE /stream/{id}            close the stream; response carries the
 //	                               drained tail matches
 //	GET    /healthz         liveness + dictionary/shard metadata
-//	GET    /metrics         Prometheus text format: request latency histogram,
-//	                        timeout/cancel/error counters, accumulated engine
-//	                        Work/Depth, shard snapshot/rebuild counters, and
-//	                        the scheduler's phase/steal/park/grain counters
-//	GET    /debug/vars      the same state as expvar JSON (plus memstats)
+//	GET    /metrics         every series, in the Prometheus text format
+//	GET    /debug/vars      the same series as JSON, beside memstats and cmdline
 //	GET    /debug/trace     slowest-N sampled request traces with per-shard,
 //	                        per-phase, and per-stream-chunk span timings
 //	                        (?recent=K adds recently finished traces);
 //	                        sampling is set by -trace (1-in-k, 0 = off)
 //	GET    /debug/pprof/    net/http/pprof handlers, mounted only with -debug
 //
-// /metrics additionally carries a sliding-window latency SLO view
-// (-slotarget/-sloobjective/-slowindow): windowed p50/p99/p999 gauges,
-// breach counts, and the error-budget burn rate, plus pardict_build_info
-// identifying the binary. cmd/dictload drives all of it under load.
+// Both render one table of series, listed in README.md's metrics reference;
+// among them is a sliding-window latency SLO view (-slotarget, -sloobjective,
+// -slowindow). Every request to a route above is counted once, by endpoint
+// and status. cmd/dictload drives all of it under load.
 //
 // Scans honor request cancellation (a disconnected client aborts its match
 // within one parallel phase) and the -timeout per-request deadline (exceeding

@@ -1,17 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"pardict"
 	"pardict/internal/obs"
@@ -31,8 +32,7 @@ var latencyBoundsNs = []int64{
 // serverMetrics is the serving-path observability state: request counts per
 // endpoint and status, the scan-latency histogram, the outcome counters the
 // request-cancel/timeout plumbing feeds, and the accumulated engine
-// Work/Depth of every completed scan. The scheduler's own counters live on
-// the pool (pardict.SchedulerStats); /metrics renders both.
+// Work/Depth of every completed scan.
 type serverMetrics struct {
 	scanLatency *obs.Histogram // ns per matching call (scan and scanbatch)
 
@@ -54,96 +54,299 @@ type reqKey struct {
 	code     int
 }
 
-func newServerMetrics() *serverMetrics {
-	return &serverMetrics{
-		scanLatency: obs.NewHistogram(latencyBoundsNs),
-		requests:    map[reqKey]int64{},
-	}
+// scrape is everything one render of the table reads, taken once per
+// request: each layer's stats struct, under the field name the table's rows
+// address it by.
+type scrape struct {
+	Server            serverStats
+	Requests          []sample // pardict_requests_total, sorted by endpoint, then code
+	SLOSnapshot       obs.SLOSnapshot
+	TraceStats        trace.Stats
+	ShardStats        pardict.ShardStats
+	ShardMetrics      shard.Metrics // process-wide; only the timing histograms are read
+	Tier              tierStats
+	StreamServerStats pardict.StreamServerStats
+	LZStats           pardict.LZStats
+	SchedulerStats    pardict.SchedulerStats
 }
 
-// countRequest records one finished request. code 0 means "nothing written"
-// (client disconnect), tracked under its own synthetic code so the rate of
-// abandoned requests stays visible.
-func (m *serverMetrics) countRequest(endpoint string, code int) {
+// serverStats is a snapshot of serverMetrics' counters.
+type serverStats struct {
+	ScanLatency obs.HistSnapshot
+
+	Timeouts, Cancels, Errors, EngineWork, EngineDepth, Texts, Bytes int64
+}
+
+func (s *server) scrape() *scrape {
+	m := s.metrics
+	sc := &scrape{
+		Server: serverStats{ScanLatency: m.scanLatency.Snapshot(), Timeouts: m.timeouts.Load(),
+			Cancels: m.cancels.Load(), Errors: m.matchErrors.Load(), EngineWork: m.engineWork.Load(),
+			EngineDepth: m.engineDepth.Load(), Texts: m.texts.Load(), Bytes: m.bytes.Load()},
+		SLOSnapshot:    s.slo.Snapshot(),
+		TraceStats:     trace.Default.RecorderStats(),
+		ShardStats:     s.m.Stats(),
+		ShardMetrics:   shard.GlobalMetrics(),
+		LZStats:        pardict.ReadLZStats(),
+		SchedulerStats: s.m.SchedulerStats(),
+	}
+	sc.Tier, sc.StreamServerStats = s.stream.stats()
 	m.mu.Lock()
-	m.requests[reqKey{endpoint, code}]++
+	for k, n := range m.requests {
+		sc.Requests = append(sc.Requests, sample{labels: []string{k.endpoint, strconv.Itoa(k.code)}, v: float64(n)})
+	}
 	m.mu.Unlock()
+	sort.Slice(sc.Requests, func(i, j int) bool {
+		return strings.Join(sc.Requests[i].labels, ",") < strings.Join(sc.Requests[j].labels, ",")
+	})
+	return sc
 }
 
-// recordScan accumulates the per-text engine cost of one completed match.
-func (m *serverMetrics) recordScan(st pardict.Stats, textBytes int) {
-	m.engineWork.Add(st.Work)
-	m.engineDepth.Add(st.Depth)
-	m.texts.Inc()
-	m.bytes.Add(int64(textBytes))
-}
-
-// promWriter renders the Prometheus text exposition format, by hand — the
-// format is a few fmt.Fprintf shapes and pulling in a client library for it
-// would be the project's first dependency. It tracks which series names have
-// already had their HELP/TYPE header written, so a name rendered from two
-// code paths (or the same series with different label sets) gets its metadata
-// exactly once per scrape, as the exposition format requires.
-type promWriter struct {
-	w    io.Writer
-	seen map[string]bool
-}
-
-func (pw *promWriter) header(name, typ, help string) {
-	if pw.seen[name] {
-		return
+// field resolves a dotted path of scrape field names, such as
+// "ShardStats.Shards".
+func (sc *scrape) field(path string) reflect.Value {
+	v := reflect.ValueOf(sc).Elem()
+	for _, name := range strings.Split(path, ".") {
+		v = v.FieldByName(name)
 	}
-	pw.seen[name] = true
-	fmt.Fprintf(pw.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return v
 }
 
-func (pw *promWriter) counter(name, help string, v int64) {
-	pw.header(name, "counter", help)
-	fmt.Fprintf(pw.w, "%s %d\n", name, v)
+// series is one row of the table both /metrics and /debug/vars render. A
+// plain row reads the one scrape field named in from; a row with read
+// computes its samples, and from then names the fields read consumes.
+// derived names the field a row recomputes from a value another row already
+// exports. Durations are integer nanoseconds in every stats struct; a series
+// whose name ends in _seconds renders them in seconds.
+type series struct {
+	name, typ, help string
+	labels          []string
+	from            []string
+	derived         string
+	read            func(*scrape) []sample
 }
 
-func (pw *promWriter) gauge(name, help string, v int64) {
-	pw.header(name, "gauge", help)
-	fmt.Fprintf(pw.w, "%s %d\n", name, v)
+func row(typ, name, from, help string) series {
+	return series{name: name, typ: typ, help: help, from: []string{from}}
 }
 
-func (pw *promWriter) gaugeF(name, help string, v float64) {
-	pw.header(name, "gauge", help)
-	fmt.Fprintf(pw.w, "%s %g\n", name, v)
+// sample is one value of a series: its label values, parallel to the
+// series' label keys, and a number or, for a histogram, its snapshot.
+type sample struct {
+	labels []string
+	v      float64
+	h      *obs.HistSnapshot
 }
 
-// labeled emits one sample of a labeled series; labels alternate key, value
-// and the values are escaped per the exposition format. The header must
-// already carry the right type via a prior header call with the same name.
-func (pw *promWriter) labeled(name, typ, help string, v float64, labels ...string) {
-	pw.header(name, typ, help)
-	var b strings.Builder
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
+func (r series) unit() float64 {
+	if strings.HasSuffix(r.name, "_seconds") {
+		return 1e9
+	}
+	return 1
+}
+
+func (r series) samples(sc *scrape) []sample {
+	if r.read != nil {
+		return r.read(sc)
+	}
+	v := sc.field(r.from[0])
+	if r.typ == "histogram" {
+		h := v.Convert(reflect.TypeOf(obs.HistSnapshot{})).Interface().(obs.HistSnapshot)
+		return []sample{{h: &h}}
+	}
+	x := v.Convert(reflect.TypeOf(0.0)).Float()
+	if v.Kind() != reflect.Float64 {
+		x /= r.unit()
+	}
+	return []sample{{v: x}}
+}
+
+// cumulative returns h's counts summed up to each bound, then to +Inf. A
+// never-observed snapshot may carry no counts at all; it yields zeros.
+func cumulative(h *obs.HistSnapshot) []int64 {
+	cum := make([]int64, len(h.Bounds)+1)
+	var c int64
+	for i, n := range h.Counts {
+		c += n
+		cum[i] = c
+	}
+	return cum
+}
+
+func info(labels ...string) []sample { return []sample{{labels: labels, v: 1}} }
+
+// table defines every series dictserve exports. TestFieldLint checks that
+// each exported field of the stats structs feeds exactly one row, and
+// TestMetricsReference that README.md lists exactly these rows.
+var table = []series{
+	{name: "pardict_build_info", typ: "gauge", help: "Build and runtime identity (value is always 1).",
+		labels: []string{"version", "go", "gomaxprocs"}, read: func(*scrape) []sample {
+			return info(buildVersion(), runtime.Version(), strconv.Itoa(runtime.GOMAXPROCS(0)))
+		}},
+	{name: "pardict_requests_total", typ: "counter",
+		help:   "Finished HTTP requests by endpoint and status code (code 0: client gone, nothing written).",
+		labels: []string{"endpoint", "code"}, read: func(sc *scrape) []sample { return sc.Requests }},
+	row("histogram", "pardict_scan_latency_seconds", "Server.ScanLatency", "Matching latency per /scan or /scanbatch request."),
+
+	row("gauge", "pardict_slo_target_seconds", "SLOSnapshot.TargetNs", "Configured latency target."),
+	row("gauge", "pardict_slo_objective", "SLOSnapshot.Objective", "Configured success-fraction objective."),
+	row("gauge", "pardict_slo_window_seconds", "SLOSnapshot.WindowSeconds", "Sliding-window length the SLO is measured over."),
+	row("gauge", "pardict_slo_requests_window", "SLOSnapshot.Count", "Matching requests observed in the current window."),
+	row("gauge", "pardict_slo_breaches_window", "SLOSnapshot.Breaches", "Requests over the latency target in the current window."),
+	{name: "pardict_slo_latency_seconds", typ: "gauge", help: "Windowed matching-latency quantiles (bucket upper bounds).",
+		labels: []string{"quantile"}, from: []string{"SLOSnapshot.P50", "SLOSnapshot.P90", "SLOSnapshot.P99", "SLOSnapshot.P999"},
+		read: func(sc *scrape) []sample {
+			q := sc.SLOSnapshot
+			return []sample{{labels: []string{"0.5"}, v: float64(q.P50) / 1e9}, {labels: []string{"0.9"}, v: float64(q.P90) / 1e9},
+				{labels: []string{"0.99"}, v: float64(q.P99) / 1e9}, {labels: []string{"0.999"}, v: float64(q.P999) / 1e9}}
+		}},
+	row("gauge", "pardict_slo_latency_mean_seconds", "SLOSnapshot.MeanNs", "Windowed mean matching latency."),
+	row("gauge", "pardict_slo_burn_rate", "SLOSnapshot.BurnRate", "Error-budget burn rate ((breach fraction)/(1-objective)); >1 violates the SLO."),
+
+	row("gauge", "pardict_trace_sample_every", "TraceStats.SampleEvery", "Trace sampling rate (1-in-k requests; 0 = disabled)."),
+	row("counter", "pardict_trace_started_total", "TraceStats.Started", "Request traces begun (sampled in)."),
+	row("counter", "pardict_trace_finished_total", "TraceStats.Finished", "Request traces finished and retained or discarded."),
+	row("counter", "pardict_trace_sampled_out_total", "TraceStats.SampledOut", "Requests skipped by trace sampling."),
+	row("gauge", "pardict_trace_retained", "TraceStats.Retained", "Traces currently held in the slowest-N reservoir."),
+
+	row("counter", "pardict_scan_timeouts_total", "Server.Timeouts", "Scans aborted by the per-request deadline (HTTP 504)."),
+	row("counter", "pardict_scan_cancels_total", "Server.Cancels", "Scans aborted by client disconnect."),
+	row("counter", "pardict_scan_errors_total", "Server.Errors", "Scans failed with a genuine engine error (HTTP 500)."),
+	row("counter", "pardict_engine_work_total", "Server.EngineWork", "Accumulated PRAM work (element operations) of completed matches."),
+	row("counter", "pardict_engine_depth_total", "Server.EngineDepth", "Accumulated PRAM depth (dependent parallel phases) of completed matches."),
+	row("counter", "pardict_texts_scanned_total", "Server.Texts", "Texts matched (each batch entry counts once)."),
+	row("counter", "pardict_bytes_scanned_total", "Server.Bytes", "Text bytes matched."),
+
+	{name: "pardict_dictionary_info", typ: "gauge", help: "Dictionary shape (value is always 1).",
+		labels: []string{"engine"}, read: func(*scrape) []sample { return info("sharded") }},
+	row("gauge", "pardict_dictionary_patterns", "ShardStats.Patterns", "Live pattern count."),
+	row("gauge", "pardict_dictionary_max_len", "ShardStats.MaxLen", "Longest live pattern length m (high-water)."),
+	row("gauge", "pardict_dictionary_bytes", "ShardStats.Size", "Total live pattern size M."),
+
+	row("gauge", "pardict_shard_count", "ShardStats.Shards", "Dictionary partition count S."),
+	row("gauge", "pardict_shard_pending_ops", "ShardStats.PendingOps", "Mutation-log records awaiting reconciliation, all shards."),
+	row("gauge", "pardict_shard_pending_bytes", "ShardStats.PendingBytes", "Encoded pattern bytes in unreconciled log records."),
+	row("gauge", "pardict_shard_epoch", "ShardStats.Epoch", "Max shard snapshot generation."),
+	row("gauge", "pardict_shard_pinned_snapshots", "ShardStats.PinnedSnapshots", "Scans currently holding shard snapshots pinned."),
+	row("counter", "pardict_shard_snapshot_swaps_total", "ShardStats.SnapshotSwaps", "Snapshot publishes (rebuilds and reloads)."),
+	row("counter", "pardict_shard_rebuilds_total", "ShardStats.Rebuilds", "Background engine recompiles completed."),
+	row("counter", "pardict_shard_rebuild_errors_total", "ShardStats.RebuildErrors", "Background engine recompiles failed."),
+	row("counter", "pardict_shard_reconcile_work_total", "ShardStats.ReconcileWork", "Accumulated PRAM work of background rebuilds."),
+	row("counter", "pardict_shard_reconcile_depth_total", "ShardStats.ReconcileDepth", "Accumulated PRAM depth of background rebuilds."),
+	row("histogram", "pardict_shard_rebuild_seconds", "ShardMetrics.RebuildNs", "Wall time per background shard rebuild (process-wide)."),
+
+	{name: "pardict_shard_write_phase", typ: "gauge",
+		help:   "Mutation-coordination state: requested mode and operating phase (value is always 1).",
+		labels: []string{"mode", "phase"}, from: []string{"ShardStats.WriteMode", "ShardStats.WritePhase"},
+		read: func(sc *scrape) []sample { return info(sc.ShardStats.WriteMode, sc.ShardStats.WritePhase) }},
+	{name: "pardict_shard_phase_split", typ: "gauge",
+		help:    "1 while the split (private-log) write phase is operating (derived from pardict_shard_write_phase).",
+		derived: "ShardStats.WritePhase", read: func(sc *scrape) []sample {
+			if sc.ShardStats.WritePhase == "split" {
+				return []sample{{v: 1}}
+			}
+			return []sample{{v: 0}}
+		}},
+	row("counter", "pardict_shard_phase_switches_total", "ShardStats.PhaseSwitches", "Joined-split write-phase transitions."),
+	row("counter", "pardict_shard_joined_writes_total", "ShardStats.JoinedWrites", "Mutations through the locked per-shard path."),
+	row("counter", "pardict_shard_split_writes_total", "ShardStats.SplitWrites", "Mutations appended to split-phase private logs."),
+	row("gauge", "pardict_shard_split_pending_ops", "ShardStats.SplitPendingOps", "Private-log records accepted but not yet merged."),
+	row("counter", "pardict_shard_merges_total", "ShardStats.Merges", "Private-log merge passes completed."),
+	row("counter", "pardict_shard_merged_ops_total", "ShardStats.MergedOps", "Private-log records folded into shard overlays."),
+	row("histogram", "pardict_shard_merge_seconds", "ShardMetrics.MergeNs", "Wall time per private-log merge pass (process-wide)."),
+
+	row("gauge", "pardict_stream_sessions", "StreamServerStats.Sessions", "Open multiplexed streams."),
+	row("gauge", "pardict_stream_generation", "Tier.Generation", "Dictionary mutations observed by the streaming tier."),
+	row("counter", "pardict_stream_creates_total", "StreamServerStats.Opened", "Streams opened over the tier's lifetime."),
+	row("counter", "pardict_stream_closes_total", "StreamServerStats.Closed", "Streams fully closed (tail flushed)."),
+	row("counter", "pardict_stream_evictions_total", "Tier.Evictions", "Streams evicted for idleness."),
+	row("counter", "pardict_stream_events_dropped_total", "Tier.EventsDropped", "Match events dropped on full per-stream buffers."),
+	row("counter", "pardict_stream_feeds_total", "StreamServerStats.Feeds", "Chunks accepted into stream queues."),
+	row("counter", "pardict_stream_fed_bytes_total", "StreamServerStats.FedBytes", "Bytes accepted into stream queues."),
+	row("counter", "pardict_stream_chunks_total", "StreamServerStats.Chunks", "Chunks scanned."),
+	row("counter", "pardict_stream_batches_total", "StreamServerStats.Batches", "Batched scan phases executed."),
+	row("counter", "pardict_stream_batch_streams_total", "StreamServerStats.BatchStreams", "Sum of streams per batch."),
+	row("counter", "pardict_stream_batch_bytes_total", "StreamServerStats.BatchBytes", "Bytes scanned across batches."),
+	row("histogram", "pardict_stream_batch_size", "StreamServerStats.BatchSize", "Streams per batched scan phase."),
+	row("gauge", "pardict_stream_queued_bytes", "StreamServerStats.QueuedBytes", "Bytes queued awaiting a scan phase."),
+	row("gauge", "pardict_stream_carry_bytes", "StreamServerStats.CarryBytes", "Hold-back bytes across open sessions."),
+	row("histogram", "pardict_stream_latency_seconds", "StreamServerStats.Latency", "Chunk accept-to-scan-complete latency."),
+
+	row("counter", "pardict_lz_phrases_parsed_total", "LZStats.Phrases", "LZ phrases emitted by Compress."),
+	row("counter", "pardict_lz_windows_scanned_total", "LZStats.WindowsScanned", "Phrase-boundary window segments scanned by MatchCompressed."),
+	row("counter", "pardict_lz_window_bytes_total", "LZStats.WindowBytes", "Positions handed to the engine inside window segments (with lookahead)."),
+	row("counter", "pardict_lz_interior_translated_total", "LZStats.InteriorTranslated", "Positions resolved by occurrence translation instead of a scan."),
+	row("counter", "pardict_lz_bytes_skipped_total", "LZStats.BytesSkipped", "Decoded positions MatchCompressed never scanned."),
+
+	row("counter", "pardict_scheduler_phases_total", "SchedulerStats.Phases", "Parallel phases issued (including inline short phases)."),
+	row("counter", "pardict_scheduler_pooled_phases_total", "SchedulerStats.PooledPhases", "Phases fanned out to the worker pool."),
+	row("counter", "pardict_scheduler_chunks_total", "SchedulerStats.Chunks", "Grain-sized chunks executed by pooled phases."),
+	row("counter", "pardict_scheduler_steals_total", "SchedulerStats.Steals", "Chunks claimed outside the claimant's own span."),
+	row("counter", "pardict_scheduler_parks_total", "SchedulerStats.Parks", "Worker park events between phases."),
+	row("counter", "pardict_scheduler_unparks_total", "SchedulerStats.Unparks", "Worker wake events."),
+	row("counter", "pardict_scheduler_grain_sum", "SchedulerStats.GrainSum", "Sum of per-phase chosen grains (divide by phases for the mean)."),
+	row("counter", "pardict_scheduler_queue_sum", "SchedulerStats.QueueSum", "Sum of active-phase occupancy samples at submit."),
+	row("gauge", "pardict_scheduler_queue_max", "SchedulerStats.QueueMax", "Peak concurrently active phases."),
+	row("counter", "pardict_scheduler_prefilter_scanned_total", "SchedulerStats.PrefilterScanned", "Text positions examined by the prefilter."),
+	row("counter", "pardict_scheduler_prefilter_skipped_total", "SchedulerStats.PrefilterSkipped", "Text positions the prefilter screened out before the cascade."),
+}
+
+// writeProm renders the table in the Prometheus text exposition format, by
+// hand: the format is a few line shapes, and a client library would be the
+// module's first dependency.
+func (sc *scrape) writeProm(w io.Writer) {
+	for _, r := range table {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", r.name, r.help, r.name, r.typ)
+		for _, x := range r.samples(sc) {
+			if h := x.h; h != nil {
+				cum := cumulative(h)
+				for i, b := range h.Bounds {
+					fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", r.name, float64(b)/r.unit(), cum[i])
+				}
+				fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
+					r.name, cum[len(h.Bounds)], r.name, float64(h.Sum)/r.unit(), r.name, h.Count)
+				continue
+			}
+			labels := make([]string, len(x.labels))
+			for i, v := range x.labels {
+				labels[i] = fmt.Sprintf("%s=\"%s\"", r.labels[i], escapeLabel(v))
+			}
+			name := r.name
+			if len(labels) > 0 {
+				name += "{" + strings.Join(labels, ",") + "}"
+			}
+			fmt.Fprintf(w, "%s %s\n", name, strconv.FormatFloat(x.v, 'f', -1, 64))
 		}
-		fmt.Fprintf(&b, "%s=\"%s\"", labels[i], escapeLabel(labels[i+1]))
 	}
-	fmt.Fprintf(pw.w, "%s{%s} %g\n", name, b.String(), v)
 }
 
-func (pw *promWriter) histogram(name, help string, h obs.HistSnapshot) {
-	pw.header(name, "histogram", help)
-	// A snapshot from a never-observed histogram may carry no buckets at all;
-	// it still renders as a valid all-zero histogram.
-	var cum int64
-	for i, b := range h.Bounds {
-		if i < len(h.Counts) {
-			cum += h.Counts[i]
+// vars renders the table as the "pardict" object of /debug/vars, keyed by
+// series name in the
+// same units as /metrics. A labeled series becomes an object keyed by its
+// label values joined with ","; a histogram becomes its count, sum and
+// cumulative buckets keyed by upper bound.
+func (sc *scrape) vars() map[string]any {
+	out := make(map[string]any, len(table))
+	for _, r := range table {
+		vals := map[string]any{}
+		for _, x := range r.samples(sc) {
+			var v any = x.v
+			if h := x.h; h != nil {
+				cum := cumulative(h)
+				buckets := map[string]int64{"+Inf": cum[len(h.Bounds)]}
+				for i, b := range h.Bounds {
+					buckets[fmt.Sprintf("%g", float64(b)/r.unit())] = cum[i]
+				}
+				v = map[string]any{"count": h.Count, "sum": float64(h.Sum) / r.unit(), "buckets": buckets}
+			}
+			vals[strings.Join(x.labels, ",")] = v
 		}
-		fmt.Fprintf(pw.w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b)/1e9, cum)
+		out[r.name] = vals
+		if r.labels == nil {
+			out[r.name] = vals[""]
+		}
 	}
-	if len(h.Counts) > len(h.Bounds) {
-		cum += h.Counts[len(h.Counts)-1]
-	}
-	fmt.Fprintf(pw.w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(pw.w, "%s_sum %g\n", name, float64(h.Sum)/1e9)
-	fmt.Fprintf(pw.w, "%s_count %d\n", name, h.Count)
+	return out
 }
 
 // escapeLabel escapes a label value per the text exposition format: backslash,
@@ -165,218 +368,19 @@ func buildVersion() string {
 	return "dev"
 }
 
-// handleMetrics renders everything through one promWriter, so every series
-// gets HELP/TYPE exactly once regardless of how many samples or call sites
-// contribute to it.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
+		return httpError(w, "GET required", http.StatusMethodNotAllowed)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m := s.metrics
-	pw := &promWriter{w: w, seen: map[string]bool{}}
-
-	pw.labeled("pardict_build_info", "gauge", "Build and runtime identity (value is always 1).", 1,
-		"version", buildVersion(), "go", runtime.Version(),
-		"gomaxprocs", fmt.Sprint(runtime.GOMAXPROCS(0)))
-
-	m.mu.Lock()
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		pw.labeled("pardict_requests_total", "counter",
-			"Finished HTTP requests by endpoint and status code (code 0: client gone, nothing written).",
-			float64(m.requests[k]), "endpoint", k.endpoint, "code", fmt.Sprint(k.code))
-	}
-	m.mu.Unlock()
-
-	pw.histogram("pardict_scan_latency_seconds", "Matching latency per scanned text.", m.scanLatency.Snapshot())
-
-	counter := pw.counter
-	gauge := pw.gauge
-	histogram := pw.histogram
-
-	slo := s.slo.Snapshot()
-	pw.gaugeF("pardict_slo_target_seconds", "Configured latency target.", float64(slo.TargetNs)/1e9)
-	pw.gaugeF("pardict_slo_objective", "Configured success-fraction objective.", slo.Objective)
-	pw.gaugeF("pardict_slo_window_seconds", "Sliding-window length the SLO is measured over.", slo.WindowSeconds)
-	gauge("pardict_slo_requests_window", "Matching requests observed in the current window.", slo.Count)
-	gauge("pardict_slo_breaches_window", "Requests over the latency target in the current window.", slo.Breaches)
-	for _, qv := range []struct {
-		q  string
-		ns int64
-	}{{"0.5", slo.P50}, {"0.9", slo.P90}, {"0.99", slo.P99}, {"0.999", slo.P999}} {
-		pw.labeled("pardict_slo_latency_seconds", "gauge",
-			"Windowed matching-latency quantiles (bucket upper bounds).",
-			float64(qv.ns)/1e9, "quantile", qv.q)
-	}
-	pw.gaugeF("pardict_slo_burn_rate", "Error-budget burn rate ((breach fraction)/(1-objective)); >1 violates the SLO.", slo.BurnRate)
-
-	ts := trace.Default.RecorderStats()
-	gauge("pardict_trace_sample_every", "Trace sampling rate (1-in-k requests; 0 = disabled).", int64(ts.SampleEvery))
-	counter("pardict_trace_started_total", "Request traces begun (sampled in).", ts.Started)
-	counter("pardict_trace_finished_total", "Request traces finished and retained or discarded.", ts.Finished)
-	counter("pardict_trace_sampled_out_total", "Requests skipped by trace sampling.", ts.SampledOut)
-	gauge("pardict_trace_retained", "Traces currently held in the slowest-N reservoir.", int64(ts.Retained))
-
-	counter("pardict_scan_timeouts_total", "Scans aborted by the per-request deadline (HTTP 504).", m.timeouts.Load())
-	counter("pardict_scan_cancels_total", "Scans aborted by client disconnect.", m.cancels.Load())
-	counter("pardict_scan_errors_total", "Scans failed with a genuine engine error (HTTP 500).", m.matchErrors.Load())
-	counter("pardict_engine_work_total", "Accumulated PRAM work (element operations) of completed matches.", m.engineWork.Load())
-	counter("pardict_engine_depth_total", "Accumulated PRAM depth (dependent parallel phases) of completed matches.", m.engineDepth.Load())
-	counter("pardict_texts_scanned_total", "Texts matched (each batch entry counts once).", m.texts.Load())
-	counter("pardict_bytes_scanned_total", "Text bytes matched.", m.bytes.Load())
-
-	sst := s.m.Stats()
-	pw.labeled("pardict_dictionary_info", "gauge", "Dictionary shape (value is always 1).", 1,
-		"engine", "sharded")
-	gauge("pardict_dictionary_patterns", "Live pattern count.", int64(sst.Patterns))
-	gauge("pardict_dictionary_max_len", "Longest live pattern length m (high-water).", int64(sst.MaxLen))
-	gauge("pardict_dictionary_bytes", "Total live pattern size M.", int64(sst.Size))
-
-	gauge("pardict_shard_count", "Dictionary partition count S.", int64(sst.Shards))
-	gauge("pardict_shard_pending_ops", "Mutation-log records awaiting reconciliation, all shards.", int64(sst.PendingOps))
-	gauge("pardict_shard_pending_bytes", "Encoded pattern bytes in unreconciled log records.", int64(sst.PendingBytes))
-	gauge("pardict_shard_epoch", "Max shard snapshot generation.", int64(sst.Epoch))
-	gauge("pardict_shard_pinned_snapshots", "Scans currently holding shard snapshots pinned.", sst.PinnedSnapshots)
-	counter("pardict_shard_snapshot_swaps_total", "Snapshot publishes (rebuilds and reloads).", sst.SnapshotSwaps)
-	counter("pardict_shard_rebuilds_total", "Background engine recompiles completed.", sst.Rebuilds)
-	counter("pardict_shard_rebuild_errors_total", "Background engine recompiles failed.", sst.RebuildErrors)
-	counter("pardict_shard_reconcile_work_total", "Accumulated PRAM work of background rebuilds.", sst.ReconcileWork)
-	counter("pardict_shard_reconcile_depth_total", "Accumulated PRAM depth of background rebuilds.", sst.ReconcileDepth)
-	gm := shard.GlobalMetrics()
-	histogram("pardict_shard_rebuild_seconds", "Wall time per background shard rebuild (process-wide).",
-		gm.RebuildNs)
-
-	pw.labeled("pardict_shard_write_phase", "gauge",
-		"Mutation-coordination state: requested mode and operating phase (value is always 1).", 1,
-		"mode", sst.WriteMode, "phase", sst.WritePhase)
-	splitNow := int64(0)
-	if sst.WritePhase == "split" {
-		splitNow = 1
-	}
-	gauge("pardict_shard_phase_split", "1 while the split (private-log) write phase is operating.", splitNow)
-	counter("pardict_shard_phase_switches_total", "Joined-split write-phase transitions.", sst.PhaseSwitches)
-	counter("pardict_shard_joined_writes_total", "Mutations through the locked per-shard path.", sst.JoinedWrites)
-	counter("pardict_shard_split_writes_total", "Mutations appended to split-phase private logs.", sst.SplitWrites)
-	gauge("pardict_shard_split_pending_ops", "Private-log records accepted but not yet merged.", sst.SplitPendingOps)
-	counter("pardict_shard_merges_total", "Private-log merge passes completed.", sst.Merges)
-	counter("pardict_shard_merged_ops_total", "Private-log records folded into shard overlays.", sst.MergedOps)
-	histogram("pardict_shard_merge_seconds", "Wall time per private-log merge pass (process-wide).",
-		gm.MergeNs)
-
-	active, gen, strm := s.stream.stats()
-	gauge("pardict_stream_sessions", "Open multiplexed streams.", int64(active))
-	gauge("pardict_stream_generation", "Dictionary mutations observed by the streaming tier.", int64(gen))
-	counter("pardict_stream_creates_total", "Streams opened over the tier's lifetime.", s.stream.creates.Load())
-	counter("pardict_stream_evictions_total", "Streams evicted for idleness.", s.stream.evictions.Load())
-	counter("pardict_stream_events_dropped_total", "Match events dropped on full per-stream buffers.", s.stream.dropped.Load())
-	counter("pardict_stream_fed_bytes_total", "Bytes accepted into stream queues (current engine).", strm.FedBytes)
-	counter("pardict_stream_batches_total", "Batched scan phases executed (current engine).", strm.Batches)
-	counter("pardict_stream_batch_streams_total", "Sum of streams per batch (current engine).", strm.BatchStreams)
-	gauge("pardict_stream_queued_bytes", "Bytes queued awaiting a scan phase (current engine).", strm.QueuedBytes)
-	gauge("pardict_stream_carry_bytes", "Hold-back bytes across open sessions (current engine).", strm.CarryBytes)
-	histogram("pardict_stream_latency_seconds", "Chunk accept-to-scan-complete latency (current engine).",
-		obs.HistSnapshot{Bounds: strm.Latency.Bounds, Counts: strm.Latency.Counts,
-			Count: strm.Latency.Count, Sum: strm.Latency.Sum})
-
-	lzs := pardict.ReadLZStats()
-	counter("pardict_lz_phrases_parsed_total", "LZ phrases emitted by Compress.", lzs.Phrases)
-	counter("pardict_lz_windows_scanned_total", "Phrase-boundary window segments scanned by MatchCompressed.", lzs.WindowsScanned)
-	counter("pardict_lz_window_bytes_total", "Positions handed to the engine inside window segments (with lookahead).", lzs.WindowBytes)
-	counter("pardict_lz_interior_translated_total", "Positions resolved by occurrence translation instead of a scan.", lzs.InteriorTranslated)
-	counter("pardict_lz_bytes_skipped_total", "Decoded positions MatchCompressed never scanned.", lzs.BytesSkipped)
-
-	st := s.m.SchedulerStats()
-	counter("pardict_scheduler_phases_total", "Parallel phases issued (including inline short phases).", st.Phases)
-	counter("pardict_scheduler_pooled_phases_total", "Phases fanned out to the worker pool.", st.PooledPhases)
-	counter("pardict_scheduler_chunks_total", "Grain-sized chunks executed by pooled phases.", st.Chunks)
-	counter("pardict_scheduler_steals_total", "Chunks claimed outside the claimant's own span.", st.Steals)
-	counter("pardict_scheduler_parks_total", "Worker park events between phases.", st.Parks)
-	counter("pardict_scheduler_unparks_total", "Worker wake events.", st.Unparks)
-	counter("pardict_scheduler_grain_sum", "Sum of per-phase chosen grains (divide by phases for the mean).", st.GrainSum)
-	counter("pardict_scheduler_queue_sum", "Sum of active-phase occupancy samples at submit.", st.QueueSum)
-	gauge("pardict_scheduler_queue_max", "Peak concurrently active phases.", st.QueueMax)
+	s.scrape().writeProm(w)
+	return http.StatusOK
 }
 
-// currentVars points expvar at the most recently constructed server: expvar's
-// registry is process-global and Publish panics on re-registration, so the
-// (test-friendly) contract is "the latest server wins".
-var currentVars atomic.Pointer[server]
-
-var publishVarsOnce sync.Once
-
-// publishVars registers the "pardict" expvar exactly once per process; the
-// published Func re-reads whatever server is current at scrape time.
-func publishVars() {
-	publishVarsOnce.Do(func() {
-		expvar.Publish("pardict", expvar.Func(func() any {
-			s := currentVars.Load()
-			if s == nil {
-				return nil
-			}
-			return s.varsSnapshot()
-		}))
-	})
-}
-
-// varsSnapshot is the /debug/vars view: the same counters as /metrics, as a
-// JSON object.
-func (s *server) varsSnapshot() map[string]any {
-	m := s.metrics
-	lat := m.scanLatency.Snapshot()
-	m.mu.Lock()
-	reqs := map[string]int64{}
-	for k, v := range m.requests {
-		reqs[fmt.Sprintf("%s:%d", k.endpoint, k.code)] = v
-	}
-	m.mu.Unlock()
-	st := s.m.SchedulerStats()
-	sst := s.m.Stats()
-	active, gen, strm := s.stream.stats()
-	slo := s.slo.Snapshot()
-	return map[string]any{
-		"slo": map[string]any{
-			"target_ms": float64(slo.TargetNs) / 1e6, "objective": slo.Objective,
-			"window_s": slo.WindowSeconds, "requests": slo.Count, "breaches": slo.Breaches,
-			"p50_ms": float64(slo.P50) / 1e6, "p99_ms": float64(slo.P99) / 1e6,
-			"p999_ms": float64(slo.P999) / 1e6, "burn_rate": slo.BurnRate,
-		},
-		"trace": trace.Default.RecorderStats(),
-		"stream": map[string]any{
-			"sessions": active, "generation": gen,
-			"creates":        s.stream.creates.Load(),
-			"evictions":      s.stream.evictions.Load(),
-			"events_dropped": s.stream.dropped.Load(),
-			"engine":         strm,
-		},
-		"requests":          reqs,
-		"scan_timeouts":     m.timeouts.Load(),
-		"scan_cancels":      m.cancels.Load(),
-		"scan_errors":       m.matchErrors.Load(),
-		"engine_work":       m.engineWork.Load(),
-		"engine_depth":      m.engineDepth.Load(),
-		"texts_scanned":     m.texts.Load(),
-		"bytes_scanned":     m.bytes.Load(),
-		"scan_latency_ms":   float64(lat.Sum) / 1e6,
-		"scans":             lat.Count,
-		"dictionary":        map[string]any{"engine": "sharded", "patterns": sst.Patterns, "max_len": sst.MaxLen, "bytes": sst.Size},
-		"shard":             sst,
-		"scheduler":         st,
-		"scheduler_derived": map[string]float64{"mean_grain": st.MeanGrain(), "mean_queue": st.MeanQueue()},
-	}
-}
-
-// observeLatency records one matching call's wall time.
-func (m *serverMetrics) observeLatency(d time.Duration) {
-	m.scanLatency.Observe(d.Nanoseconds())
+// handleVars serves Go's expvar set (memstats, cmdline) with the table under
+// "pardict".
+func (s *server) handleVars(w http.ResponseWriter, r *http.Request) int {
+	vars := map[string]any{"pardict": s.scrape().vars()}
+	expvar.Do(func(kv expvar.KeyValue) { vars[kv.Key] = json.RawMessage(kv.Value.String()) })
+	return writeJSON(w, http.StatusOK, vars)
 }

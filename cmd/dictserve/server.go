@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -59,34 +58,86 @@ func newServer(m *pardict.ShardedMatcher, maxBody int64, timeout time.Duration, 
 		oo.sloWindow = time.Minute
 	}
 	s := &server{m: m, maxBody: maxBody, timeout: timeout, mux: http.NewServeMux(),
-		metrics: newServerMetrics(),
+		metrics: &serverMetrics{scanLatency: obs.NewHistogram(latencyBoundsNs), requests: map[reqKey]int64{}},
 		slo:     obs.NewSLO(oo.sloTarget, oo.sloObjective, oo.sloWindow, 6)}
 	s.stream = newStreamTier(s, so.idle, so.queue, so.maxEvents)
-	s.mux.HandleFunc("/scan", s.handleScan)
-	s.mux.HandleFunc("/scanbatch", s.handleScanBatch)
-	s.mux.HandleFunc("/patterns", s.handlePatterns)
-	s.mux.HandleFunc("/reload", s.handleReload)
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /stream", s.handleStreamCreate)
-	s.mux.HandleFunc("POST /stream/{id}/feed", s.handleStreamFeed)
-	s.mux.HandleFunc("GET /stream/{id}/events", s.handleStreamEvents)
-	s.mux.HandleFunc("DELETE /stream/{id}", s.handleStreamDelete)
-	s.mux.Handle("/debug/vars", expvar.Handler())
-	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
+	s.handle("/scan", "scan", s.handleScan)
+	s.handle("/scanbatch", "scanbatch", s.handleScanBatch)
+	s.handle("/patterns", "patterns", s.handlePatterns)
+	s.handle("/reload", "reload", s.handleReload)
+	s.handle("/healthz", "healthz", s.handleHealth)
+	s.handle("/metrics", "metrics", s.handleMetrics)
+	s.handle("POST /stream", "stream", s.handleStreamCreate)
+	s.handle("POST /stream/{id}/feed", "stream_feed", s.handleStreamFeed)
+	s.handle("GET /stream/{id}/events", "stream_events", s.handleStreamEvents)
+	s.handle("DELETE /stream/{id}", "stream_delete", s.handleStreamDelete)
+	s.handle("/debug/vars", "vars", s.handleVars)
+	s.handle("GET /debug/trace", "trace", s.handleTrace)
 	if oo.debug {
 		// net/http/pprof registers on the DefaultServeMux as a side effect of
 		// its import; the server runs its own mux, so the handlers are wired
 		// explicitly — and only when asked for.
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		s.handle("/debug/pprof/", "pprof", foreign(pprof.Index))
+		s.handle("/debug/pprof/cmdline", "pprof", foreign(pprof.Cmdline))
+		s.handle("/debug/pprof/profile", "pprof", foreign(pprof.Profile))
+		s.handle("/debug/pprof/symbol", "pprof", foreign(pprof.Symbol))
+		s.handle("/debug/pprof/trace", "pprof", foreign(pprof.Trace))
 	}
-	currentVars.Store(s)
-	publishVars()
 	return s
+}
+
+// handler serves one dictserve route and returns the status it wrote: 0 when
+// the client was gone and nothing was written, a code of its own so the rate
+// of abandoned requests stays visible.
+type handler func(http.ResponseWriter, *http.Request) int
+
+// handle registers h under pattern and counts every request it finishes,
+// exactly once, under endpoint in pardict_requests_total.
+func (s *server) handle(pattern, endpoint string, h handler) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		code := h(w, r)
+		s.metrics.mu.Lock()
+		s.metrics.requests[reqKey{endpoint, code}]++
+		s.metrics.mu.Unlock()
+	})
+}
+
+// foreign adapts a net/http/pprof handler by recording the status it writes:
+// 200 unless it calls WriteHeader, which it does only before any body. The
+// wrapper hides http.Flusher, which those handlers never use; dictserve's own
+// handlers return their status instead, since streaming needs it.
+func foreign(h http.HandlerFunc) handler {
+	return func(w http.ResponseWriter, r *http.Request) int {
+		sw := &statusWriter{w, http.StatusOK}
+		h.ServeHTTP(sw, r)
+		return sw.code
+	}
+}
+
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// httpError writes a plain-text error response and returns its status.
+func httpError(w http.ResponseWriter, msg string, code int) int {
+	http.Error(w, msg, code)
+	return code
+}
+
+// writeJSON writes v as a JSON response under code and returns code. An
+// encode error means the connection failed after the status went out, so
+// there is nothing left to report.
+func writeJSON(w http.ResponseWriter, code int, v any) int {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+	return code
 }
 
 // traceResponse is the GET /debug/trace body: recorder state plus the
@@ -99,7 +150,7 @@ type traceResponse struct {
 	Recent  []trace.Info `json:"recent,omitempty"`
 }
 
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) int {
 	out := traceResponse{
 		Enabled: trace.Default.Enabled(),
 		Stats:   trace.Default.RecorderStats(),
@@ -108,8 +159,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if k, _ := strconv.Atoi(r.URL.Query().Get("recent")); k > 0 {
 		out.Recent = trace.Default.Recent(k)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	return writeJSON(w, http.StatusOK, out)
 }
 
 // Close shuts down the streaming tier (open streams are drained and their
@@ -139,8 +189,7 @@ func (s *server) writeMatchErr(w http.ResponseWriter, r *http.Request, err error
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.timeouts.Inc()
-		http.Error(w, "scan deadline exceeded", http.StatusGatewayTimeout)
-		return http.StatusGatewayTimeout
+		return httpError(w, "scan deadline exceeded", http.StatusGatewayTimeout)
 	case r.Context().Err() != nil:
 		// The request's own context is dead: the client disconnected (or
 		// its deadline fired client-side). Nothing useful to write.
@@ -148,8 +197,7 @@ func (s *server) writeMatchErr(w http.ResponseWriter, r *http.Request, err error
 		return 0
 	default:
 		s.metrics.matchErrors.Inc()
-		http.Error(w, "scan failed: "+err.Error(), http.StatusInternalServerError)
-		return http.StatusInternalServerError
+		return httpError(w, "scan failed: "+err.Error(), http.StatusInternalServerError)
 	}
 }
 
@@ -165,45 +213,55 @@ type scanResponse struct {
 	Matches []scanMatch `json:"matches,omitempty"`
 }
 
-func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleScan(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+		return httpError(w, "POST required", http.StatusMethodNotAllowed)
 	}
-	tr := trace.Start("scan")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		http.Error(w, "body too large or unreadable", http.StatusRequestEntityTooLarge)
-		tr.SetStatus(http.StatusRequestEntityTooLarge)
-		tr.Finish()
-		return
+		return httpError(w, "body too large or unreadable", http.StatusRequestEntityTooLarge)
 	}
-	tr.SetArg(int64(len(body)))
+	res, code := s.match(w, r, "scan", [][]byte{body})
+	if code != http.StatusOK {
+		return code
+	}
+	return writeJSON(w, http.StatusOK, s.collect(res[0], r.URL.Query().Get("mode")))
+}
+
+// match is the one instrumented matching call behind /scan and /scanbatch:
+// it scans texts under the request's deadline with a trace named after the
+// endpoint, times the call into the latency histogram and the SLO, and
+// accounts each text's engine cost. On failure it writes the error
+// response; either way it returns the status the request ends with.
+func (s *server) match(w http.ResponseWriter, r *http.Request, endpoint string, texts [][]byte) ([]*pardict.ShardedMatches, int) {
+	tr := trace.Start(endpoint)
+	defer tr.Finish()
+	total := 0
+	for _, t := range texts {
+		total += len(t)
+	}
+	tr.SetArg(int64(total))
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	ctx = trace.NewContext(ctx, tr)
 	t0 := time.Now()
-	res, err := s.m.MatchContext(ctx, body)
-	d := time.Since(t0)
-	s.metrics.observeLatency(d)
-	s.slo.Observe(d.Nanoseconds())
+	res, err := s.m.MatchBatch(trace.NewContext(ctx, tr), texts)
+	d := time.Since(t0).Nanoseconds()
+	s.metrics.scanLatency.Observe(d)
+	s.slo.Observe(d)
+	code := http.StatusOK
 	if err != nil {
-		code := s.writeMatchErr(w, r, err)
-		s.metrics.countRequest("scan", code)
-		tr.SetStatus(code)
-		tr.Finish()
-		return
+		code = s.writeMatchErr(w, r, err)
+	} else {
+		for i, m := range res {
+			st := m.Stats()
+			s.metrics.engineWork.Add(st.Work)
+			s.metrics.engineDepth.Add(st.Depth)
+			s.metrics.texts.Inc()
+			s.metrics.bytes.Add(int64(len(texts[i])))
+		}
 	}
-	s.metrics.recordScan(res.Stats(), len(body))
-	s.metrics.countRequest("scan", http.StatusOK)
-	tr.SetStatus(http.StatusOK)
-	tr.Finish()
-	out := s.collect(res, r.URL.Query().Get("mode"))
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		// Connection-level failure; nothing more to do.
-		return
-	}
+	tr.SetStatus(code)
+	return res, code
 }
 
 // collect renders one text's matches per the requested mode ("", "count",
@@ -257,55 +315,29 @@ type scanBatchResponse struct {
 	Results []scanResponse `json:"results"`
 }
 
-func (s *server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleScanBatch(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+		return httpError(w, "POST required", http.StatusMethodNotAllowed)
 	}
 	var req scanBatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad JSON body", http.StatusBadRequest)
-		return
+		return httpError(w, "bad JSON body", http.StatusBadRequest)
 	}
 	texts := make([][]byte, len(req.Texts))
-	total := 0
 	for i, t := range req.Texts {
 		texts[i] = []byte(t)
-		total += len(t)
 	}
-	tr := trace.Start("scanbatch")
-	tr.SetArg(int64(total))
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	ctx = trace.NewContext(ctx, tr)
-	t0 := time.Now()
-	results, err := s.m.MatchBatch(ctx, texts)
-	d := time.Since(t0)
-	s.metrics.observeLatency(d)
-	s.slo.Observe(d.Nanoseconds())
-	if err != nil {
-		code := s.writeMatchErr(w, r, err)
-		s.metrics.countRequest("scanbatch", code)
-		tr.SetStatus(code)
-		tr.Finish()
-		return
+	results, code := s.match(w, r, "scanbatch", texts)
+	if code != http.StatusOK {
+		return code
 	}
-	for i, res := range results {
-		s.metrics.recordScan(res.Stats(), len(texts[i]))
-	}
-	s.metrics.countRequest("scanbatch", http.StatusOK)
-	tr.SetStatus(http.StatusOK)
-	tr.Finish()
 	mode := r.URL.Query().Get("mode")
 	out := scanBatchResponse{Results: make([]scanResponse, len(results))}
 	for i, res := range results {
 		out.Results[i] = s.collect(res, mode)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		return
-	}
+	return writeJSON(w, http.StatusOK, out)
 }
 
 // patternsRequest is the /patterns body for both POST (insert) and DELETE.
@@ -336,33 +368,24 @@ func (s *server) writeMutationErr(w http.ResponseWriter, err error, applied int)
 	case errors.Is(err, pardict.ErrMatcherClosed):
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "applied": applied})
-	return code
+	return writeJSON(w, code, map[string]any{"error": err.Error(), "applied": applied})
 }
 
 // handlePatterns mutates the live dictionary online: POST inserts, DELETE
 // removes (by content). Each pattern is an O(1) amortized log append visible
 // to every scan that starts after the response; the engine rebuilds it
 // eventually triggers run on the background reconciler, off this path.
-func (s *server) handlePatterns(w http.ResponseWriter, r *http.Request) {
+func (s *server) handlePatterns(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost && r.Method != http.MethodDelete {
-		http.Error(w, "POST or DELETE required", http.StatusMethodNotAllowed)
-		s.metrics.countRequest("patterns", http.StatusMethodNotAllowed)
-		return
+		return httpError(w, "POST or DELETE required", http.StatusMethodNotAllowed)
 	}
 	var req patternsRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad JSON body", http.StatusBadRequest)
-		s.metrics.countRequest("patterns", http.StatusBadRequest)
-		return
+		return httpError(w, "bad JSON body", http.StatusBadRequest)
 	}
 	if len(req.Patterns) == 0 {
-		http.Error(w, "no patterns in body", http.StatusBadRequest)
-		s.metrics.countRequest("patterns", http.StatusBadRequest)
-		return
+		return httpError(w, "no patterns in body", http.StatusBadRequest)
 	}
 	out := patternsResponse{}
 	for _, p := range req.Patterns {
@@ -379,41 +402,31 @@ func (s *server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			if out.Applied > 0 {
 				s.stream.bumpGen()
 			}
-			s.metrics.countRequest("patterns", s.writeMutationErr(w, err, out.Applied))
-			return
+			return s.writeMutationErr(w, err, out.Applied)
 		}
 		out.Applied++
 	}
 	s.stream.bumpGen()
-	s.metrics.countRequest("patterns", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	return writeJSON(w, http.StatusOK, out)
 }
 
 // handleReload atomically replaces the whole dictionary from a Save-format
 // body (see Matcher.Save / dictmatch -compile). The body is fully parsed and
 // checksum-verified before any state changes, so a corrupt or truncated
 // upload fails closed with the old dictionary still serving.
-func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		s.metrics.countRequest("reload", http.StatusMethodNotAllowed)
-		return
+		return httpError(w, "POST required", http.StatusMethodNotAllowed)
 	}
 	if err := s.m.ReloadSaved(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, pardict.ErrMatcherClosed) {
 			code = http.StatusServiceUnavailable
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error()})
-		s.metrics.countRequest("reload", code)
-		return
+		return writeJSON(w, code, map[string]any{"error": err.Error()})
 	}
 	s.stream.bumpGen()
-	s.metrics.countRequest("reload", http.StatusOK)
-	s.writeHealth(w)
+	return s.handleHealth(w, r)
 }
 
 type healthResponse struct {
@@ -427,14 +440,9 @@ type healthResponse struct {
 	Epoch      uint64 `json:"epoch"`
 }
 
-func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.writeHealth(w)
-}
-
-func (s *server) writeHealth(w http.ResponseWriter) {
+func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) int {
 	st := s.m.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(healthResponse{
+	return writeJSON(w, http.StatusOK, healthResponse{
 		OK:         true,
 		Patterns:   st.Patterns,
 		MaxLen:     st.MaxLen,

@@ -498,31 +498,32 @@ func TestDebugVars(t *testing.T) {
 		t.Fatalf("status %d", rec.Code)
 	}
 	var vars struct {
-		Pardict struct {
-			TextsScanned int64            `json:"texts_scanned"`
-			EngineWork   int64            `json:"engine_work"`
-			Requests     map[string]int64 `json:"requests"`
-			Shard        struct {
-				Shards   int
-				Patterns int
-			} `json:"shard"`
-			Scheduler struct {
-				Phases int64
-			} `json:"scheduler"`
+		Memstats json.RawMessage `json:"memstats"`
+		Cmdline  json.RawMessage `json:"cmdline"`
+		Pardict  struct {
+			TextsScanned int64            `json:"pardict_texts_scanned_total"`
+			EngineWork   int64            `json:"pardict_engine_work_total"`
+			Requests     map[string]int64 `json:"pardict_requests_total"`
+			Shards       int              `json:"pardict_shard_count"`
+			Patterns     int              `json:"pardict_dictionary_patterns"`
+			Phases       int64            `json:"pardict_scheduler_phases_total"`
 		} `json:"pardict"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
 		t.Fatalf("bad /debug/vars JSON: %v\n%s", err, rec.Body.String())
 	}
 	p := vars.Pardict
-	if p.TextsScanned != 1 || p.EngineWork == 0 || p.Requests["scan:200"] != 1 {
+	if p.TextsScanned != 1 || p.EngineWork == 0 || p.Requests["scan,200"] != 1 {
 		t.Fatalf("vars = %+v", p)
 	}
-	if p.Scheduler.Phases == 0 {
+	if p.Phases == 0 {
 		t.Fatalf("scheduler phases missing: %+v", p)
 	}
-	if p.Shard.Shards != 4 || p.Shard.Patterns != 4 {
-		t.Fatalf("shard vars = %+v", p.Shard)
+	if p.Shards != 4 || p.Patterns != 4 {
+		t.Fatalf("shard vars = %+v", p)
+	}
+	if vars.Memstats == nil || vars.Cmdline == nil {
+		t.Fatal("Go's default memstats and cmdline vars missing")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 	"time"
@@ -31,16 +32,18 @@ type streamTier struct {
 	queue     int           // per-stream queue bound handed to WithStreamQueue
 	maxEvents int           // per-stream match-event buffer bound
 
-	mu      sync.Mutex
-	gen     uint64 // bumped on every dictionary mutation
-	eng     *streamEngine
-	streams map[string]*httpStream
-	nextID  uint64
-	closed  bool
+	compileMu sync.Mutex // one snapshot compile at a time
 
-	creates   obs.Counter
+	mu          sync.Mutex
+	gen         uint64                    // bumped on every dictionary mutation
+	eng         *streamEngine             // the current generation's engine, if compiled
+	live        map[*streamEngine]bool    // every engine not yet closed
+	closedStats pardict.StreamServerStats // final counters of the closed engines, summed
+	streams     map[string]*httpStream
+	nextID      uint64
+	closed      bool
+
 	evictions obs.Counter
-	expired   obs.Counter // streams closed by idle eviction or tier shutdown
 	dropped   obs.Counter // match events dropped on full buffers, all streams
 
 	janitorQuit chan struct{}
@@ -54,10 +57,10 @@ type streamEngine struct {
 	m   *pardict.Matcher
 	srv *pardict.StreamServer
 	gen uint64
-	// refs counts open streams on this engine; guarded by the tier's mu. A
-	// retired engine (a newer generation exists) is Closed when refs hits 0.
-	refs    int
-	retired bool
+	// refs counts the open streams on this engine, plus one while it is the
+	// tier's current engine; guarded by the tier's mu. The engine closes
+	// when refs reaches 0.
+	refs int
 }
 
 // streamEvent is one reported match, as rendered to clients.
@@ -89,6 +92,7 @@ func newStreamTier(s *server, idle time.Duration, queue, maxEvents int) *streamT
 		idle:        idle,
 		queue:       queue,
 		maxEvents:   maxEvents,
+		live:        map[*streamEngine]bool{},
 		streams:     map[string]*httpStream{},
 		janitorQuit: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -100,35 +104,29 @@ func newStreamTier(s *server, idle time.Duration, queue, maxEvents int) *streamT
 	return t
 }
 
-// bumpGen records a dictionary mutation: the current engine (if any) is
-// retired so the next stream creation compiles a fresh snapshot. Existing
-// streams are unaffected.
+var errShutdown = errors.New("server shutting down")
+
+// bumpGen records a dictionary mutation (or, from Close, shutdown): the tier
+// drops its reference on the current engine, so the next stream creation
+// compiles a fresh snapshot. Existing streams are unaffected.
 func (t *streamTier) bumpGen() {
 	t.mu.Lock()
 	t.gen++
-	var idle *streamEngine
-	if t.eng != nil {
-		t.eng.retired = true
-		if t.eng.refs == 0 {
-			idle = t.eng
-		}
-		t.eng = nil
-	}
+	cur := t.eng
+	t.eng = nil
 	t.mu.Unlock()
-	if idle != nil {
-		idle.srv.Close()
+	if cur != nil {
+		t.release(cur)
 	}
 }
 
-// engine returns the current-generation engine, compiling one from the live
-// dictionary if a mutation (or first use) left none. The compile runs outside
-// the tier lock; racing creators may compile twice, with one result discarded.
+// engine returns the current-generation engine with a reference taken for
+// the caller, compiling one from the live dictionary if a mutation (or first
+// use) left none. Creators compile one at a time, outside the tier lock.
 func (t *streamTier) engine() (*streamEngine, error) {
+	t.compileMu.Lock()
+	defer t.compileMu.Unlock()
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, errors.New("server shutting down")
-	}
 	if e := t.eng; e != nil {
 		e.refs++
 		t.mu.Unlock()
@@ -145,43 +143,43 @@ func (t *streamTier) engine() (*streamEngine, error) {
 	if t.queue > 0 {
 		opts = append(opts, pardict.WithStreamQueue(t.queue))
 	}
-	e := &streamEngine{m: m, srv: m.NewStreamServer(opts...), gen: gen}
+	e := &streamEngine{m: m, srv: m.NewStreamServer(opts...), gen: gen, refs: 1}
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		e.srv.Close()
-		return nil, errors.New("server shutting down")
+		return nil, errShutdown
 	}
-	if t.eng == nil && t.gen == gen {
+	// If the dictionary mutated during the compile, the snapshot is already
+	// stale, but it is a valid freeze taken after the creation request
+	// arrived: it serves this stream without becoming current.
+	if t.gen == gen {
 		t.eng = e
-	} else if cur := t.eng; cur != nil {
-		// Lost the race; use the winner's engine and discard ours.
-		cur.refs++
-		t.mu.Unlock()
-		e.srv.Close()
-		return cur, nil
-	} else {
-		// The dictionary mutated while we compiled: our snapshot is already
-		// stale, but it is a valid freeze taken after the creation request
-		// arrived, so serve this stream from it and retire it immediately.
-		e.retired = true
+		e.refs++
 	}
-	e.refs++
+	t.live[e] = true
 	t.mu.Unlock()
 	return e, nil
 }
 
-// release drops one stream's reference on its engine, closing the engine once
-// it is retired and unreferenced.
+// release drops one reference on e. The last one closes e and, in one step
+// under the tier lock, moves it from the live set into closedStats, so no
+// scrape sees its counters drop or count twice; its gauges are zero by then.
 func (t *streamTier) release(e *streamEngine) {
 	t.mu.Lock()
 	e.refs--
-	idle := e.retired && e.refs == 0
+	idle := e.refs == 0
 	t.mu.Unlock()
-	if idle {
-		e.srv.Close()
+	if !idle {
+		return
 	}
+	e.srv.Close()
+	final := e.srv.Stats()
+	t.mu.Lock()
+	delete(t.live, e)
+	t.closedStats = addStreamStats(t.closedStats, final)
+	t.mu.Unlock()
 }
 
 // create opens a new stream and registers it.
@@ -205,14 +203,14 @@ func (t *streamTier) create() (*httpStream, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
+		_ = st.Close()
 		t.release(e)
-		return nil, errors.New("server shutting down")
+		return nil, errShutdown
 	}
 	t.nextID++
 	hs.id = "s" + strconv.FormatUint(t.nextID, 36)
 	t.streams[hs.id] = hs
 	t.mu.Unlock()
-	t.creates.Inc()
 	return hs, nil
 }
 
@@ -318,7 +316,6 @@ func (t *streamTier) janitor() {
 			for _, hs := range victims {
 				hs.close()
 				t.evictions.Inc()
-				t.expired.Inc()
 			}
 		}
 	}
@@ -339,39 +336,59 @@ func (t *streamTier) Close() {
 		victims = append(victims, hs)
 	}
 	t.streams = map[string]*httpStream{}
-	cur := t.eng
-	t.eng = nil
 	t.mu.Unlock()
 
 	close(t.janitorQuit)
 	for _, hs := range victims {
 		hs.close()
-		t.expired.Inc()
 	}
-	if cur != nil {
-		t.mu.Lock()
-		idle := cur.refs == 0
-		cur.retired = true
-		t.mu.Unlock()
-		if idle {
-			cur.srv.Close()
-		}
-	}
+	t.bumpGen()
 	<-t.janitorDone
 }
 
-// stats snapshots the tier for /metrics: tier counters plus the current
-// engine's StreamServer stats (zero-valued when no engine is live).
-func (t *streamTier) stats() (active int, gen uint64, sst pardict.StreamServerStats) {
+// tierStats is the streaming tier's own state, beside its engines' counters.
+type tierStats struct {
+	Generation    uint64 // dictionary mutations observed
+	Evictions     int64
+	EventsDropped int64
+}
+
+// stats snapshots the tier: its own counters, and the StreamServerStats of
+// every live engine added to closedStats. The gauges (sessions, queued
+// and carry bytes) come from the live engines alone, since a closed engine
+// has none left.
+func (t *streamTier) stats() (tierStats, pardict.StreamServerStats) {
 	t.mu.Lock()
-	active = len(t.streams)
-	gen = t.gen
-	eng := t.eng
-	t.mu.Unlock()
-	if eng != nil {
-		sst = eng.srv.Stats()
+	defer t.mu.Unlock()
+	sst := t.closedStats
+	for e := range t.live {
+		sst = addStreamStats(sst, e.srv.Stats())
 	}
-	return active, gen, sst
+	return tierStats{Generation: t.gen, Evictions: t.evictions.Load(), EventsDropped: t.dropped.Load()}, sst
+}
+
+// addStreamStats sums every integer field of two snapshots, and their
+// histograms bucket by bucket.
+func addStreamStats(a, b pardict.StreamServerStats) pardict.StreamServerStats {
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < av.NumField(); i++ {
+		if f := av.Field(i); f.CanInt() {
+			f.SetInt(f.Int() + bv.Field(i).Int())
+		}
+	}
+	a.BatchSize = addHist(a.BatchSize, b.BatchSize)
+	a.Latency = addHist(a.Latency, b.Latency)
+	return a
+}
+
+// addHist sums two snapshots bucket by bucket. b is an engine's snapshot; a
+// is empty or has the same bounds, since every engine uses the same ones.
+func addHist(a, b pardict.HistogramSnapshot) pardict.HistogramSnapshot {
+	counts := append([]int64(nil), b.Counts...)
+	for i, c := range a.Counts {
+		counts[i] += c
+	}
+	return pardict.HistogramSnapshot{Bounds: b.Bounds, Counts: counts, Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
 }
 
 // --- HTTP handlers -----------------------------------------------------
@@ -384,17 +401,12 @@ type streamCreateResponse struct {
 
 // handleStreamCreate opens a stream: POST /stream → 201 {"id": ...}. The
 // stream matches against a frozen snapshot of the dictionary as of creation.
-func (s *server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStreamCreate(w http.ResponseWriter, r *http.Request) int {
 	hs, err := s.stream.create()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		s.metrics.countRequest("stream", http.StatusServiceUnavailable)
-		return
+		return httpError(w, err.Error(), http.StatusServiceUnavailable)
 	}
-	s.metrics.countRequest("stream", http.StatusCreated)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(streamCreateResponse{
+	return writeJSON(w, http.StatusCreated, streamCreateResponse{
 		ID: hs.id, Generation: hs.eng.gen, Patterns: hs.eng.m.PatternCount(),
 	})
 }
@@ -404,12 +416,10 @@ func (s *server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 // the stream's queue bound streams through backpressure rather than failing;
 // if the queue stays full past the request deadline, 429 tells the client to
 // slow down and retry (no byte of the rejected chunk was consumed).
-func (s *server) handleStreamFeed(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStreamFeed(w http.ResponseWriter, r *http.Request) int {
 	hs := s.stream.lookup(r.PathValue("id"))
 	if hs == nil {
-		http.Error(w, "unknown stream", http.StatusNotFound)
-		s.metrics.countRequest("stream_feed", http.StatusNotFound)
-		return
+		return httpError(w, "unknown stream", http.StatusNotFound)
 	}
 	hs.touch()
 	ctx, cancel := s.requestCtx(r)
@@ -420,22 +430,18 @@ func (s *server) handleStreamFeed(w http.ResponseWriter, r *http.Request) {
 		n, rerr := body.Read(buf)
 		if n > 0 {
 			if err := hs.st.FeedContext(ctx, buf[:n]); err != nil {
-				code := s.writeStreamFeedErr(w, r, err)
-				s.metrics.countRequest("stream_feed", code)
-				return
+				return s.writeStreamFeedErr(w, r, err)
 			}
 		}
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			http.Error(w, "body too large or unreadable", http.StatusRequestEntityTooLarge)
-			s.metrics.countRequest("stream_feed", http.StatusRequestEntityTooLarge)
-			return
+			return httpError(w, "body too large or unreadable", http.StatusRequestEntityTooLarge)
 		}
 	}
-	s.metrics.countRequest("stream_feed", http.StatusNoContent)
 	w.WriteHeader(http.StatusNoContent)
+	return http.StatusNoContent
 }
 
 // writeStreamFeedErr maps a feed error: 429 when backpressure held the chunk
@@ -444,19 +450,15 @@ func (s *server) handleStreamFeed(w http.ResponseWriter, r *http.Request) {
 func (s *server) writeStreamFeedErr(w http.ResponseWriter, r *http.Request, err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "stream queue full; retry with backoff", http.StatusTooManyRequests)
-		return http.StatusTooManyRequests
+		return httpError(w, "stream queue full; retry with backoff", http.StatusTooManyRequests)
 	case r.Context().Err() != nil:
 		return 0
 	case errors.Is(err, io.ErrClosedPipe):
-		http.Error(w, "stream closed", http.StatusConflict)
-		return http.StatusConflict
+		return httpError(w, "stream closed", http.StatusConflict)
 	case errors.Is(err, pardict.ErrStreamServerClosed):
-		http.Error(w, "stream engine shut down", http.StatusServiceUnavailable)
-		return http.StatusServiceUnavailable
+		return httpError(w, "stream engine shut down", http.StatusServiceUnavailable)
 	default:
-		http.Error(w, "feed failed: "+err.Error(), http.StatusInternalServerError)
-		return http.StatusInternalServerError
+		return httpError(w, "feed failed: "+err.Error(), http.StatusInternalServerError)
 	}
 }
 
@@ -471,56 +473,46 @@ type streamEventsResponse struct {
 // an empty one at the request deadline). Without it the response is an SSE
 // stream (text/event-stream) that keeps delivering until the client goes
 // away or the stream is closed and drained.
-func (s *server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStreamEvents(w http.ResponseWriter, r *http.Request) int {
 	hs := s.stream.lookup(r.PathValue("id"))
 	if hs == nil {
-		http.Error(w, "unknown stream", http.StatusNotFound)
-		s.metrics.countRequest("stream_events", http.StatusNotFound)
-		return
+		return httpError(w, "unknown stream", http.StatusNotFound)
 	}
 	hs.touch()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	if r.URL.Query().Get("once") != "" {
-		s.streamEventsOnce(ctx, w, hs)
-		return
+		return streamEventsOnce(ctx, w, hs)
 	}
-	s.streamEventsSSE(ctx, w, hs)
+	return streamEventsSSE(ctx, w, hs)
 }
 
 // streamEventsOnce is the long-poll arm: wait for at least one event (or
 // close, or the deadline), then respond once with everything buffered.
-func (s *server) streamEventsOnce(ctx context.Context, w http.ResponseWriter, hs *httpStream) {
+func streamEventsOnce(ctx context.Context, w http.ResponseWriter, hs *httpStream) int {
 	for {
 		evs, dropped, closed := hs.take()
 		if len(evs) > 0 || closed {
 			hs.touch()
-			s.metrics.countRequest("stream_events", http.StatusOK)
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(streamEventsResponse{Events: evs, Dropped: dropped, Closed: closed})
-			return
+			return writeJSON(w, http.StatusOK, streamEventsResponse{Events: evs, Dropped: dropped, Closed: closed})
 		}
 		select {
 		case <-hs.notify:
 		case <-ctx.Done():
-			s.metrics.countRequest("stream_events", http.StatusOK)
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(streamEventsResponse{Events: []streamEvent{}, Dropped: dropped})
-			return
+			return writeJSON(w, http.StatusOK, streamEventsResponse{Events: []streamEvent{}, Dropped: dropped})
 		}
 	}
 }
 
 // streamEventsSSE is the push arm: one "match" SSE event per buffered match,
-// an "end" event when the stream closes, flushing as they arrive.
-func (s *server) streamEventsSSE(ctx context.Context, w http.ResponseWriter, hs *httpStream) {
+// an "end" event when the stream closes, flushing as they arrive. The
+// request counts as finished, with its 200, when the stream ends or the
+// client goes away.
+func streamEventsSSE(ctx context.Context, w http.ResponseWriter, hs *httpStream) int {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		s.metrics.countRequest("stream_events", http.StatusNotImplemented)
-		return
+		return httpError(w, "streaming unsupported", http.StatusNotImplemented)
 	}
-	s.metrics.countRequest("stream_events", http.StatusOK)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
@@ -538,12 +530,12 @@ func (s *server) streamEventsSSE(ctx context.Context, w http.ResponseWriter, hs 
 		if closed {
 			fmt.Fprint(w, "event: end\ndata: {}\n\n")
 			fl.Flush()
-			return
+			return http.StatusOK
 		}
 		select {
 		case <-hs.notify:
 		case <-ctx.Done():
-			return
+			return http.StatusOK
 		}
 	}
 }
@@ -551,18 +543,14 @@ func (s *server) streamEventsSSE(ctx context.Context, w http.ResponseWriter, hs 
 // handleStreamDelete closes the stream: DELETE /stream/{id}. Queued chunks
 // are scanned and the held-back tail flushed first, so the response carries
 // every remaining match.
-func (s *server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStreamDelete(w http.ResponseWriter, r *http.Request) int {
 	id := r.PathValue("id")
 	hs := s.stream.lookup(id)
 	if hs == nil {
-		http.Error(w, "unknown stream", http.StatusNotFound)
-		s.metrics.countRequest("stream_delete", http.StatusNotFound)
-		return
+		return httpError(w, "unknown stream", http.StatusNotFound)
 	}
 	s.stream.remove(id)
 	hs.close()
 	evs, dropped, _ := hs.take()
-	s.metrics.countRequest("stream_delete", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(streamEventsResponse{Events: evs, Dropped: dropped, Closed: true})
+	return writeJSON(w, http.StatusOK, streamEventsResponse{Events: evs, Dropped: dropped, Closed: true})
 }

@@ -270,12 +270,84 @@ func TestStreamServerShutdownDrains(t *testing.T) {
 	id := createStream(t, srv)
 	feedStream(t, srv, id, "xshex")
 	srv.Close()
-	if _, _, sst := srv.stream.stats(); sst.QueuedBytes != 0 {
+	if _, sst := srv.stream.stats(); sst.QueuedBytes != 0 {
 		t.Fatalf("shutdown left %d queued bytes", sst.QueuedBytes)
 	}
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/stream", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("create after shutdown status %d", rec.Code)
+	}
+}
+
+// TestStreamCountersMonotonic: a stream still open on a retired engine keeps
+// counting after a mutation, and closing that engine moves its counters into
+// the tier's running total, so no stream counter ever falls.
+func TestStreamCountersMonotonic(t *testing.T) {
+	srv := testServer(t)
+	id := createStream(t, srv)
+	chunk := strings.Repeat("ushers ", 100)
+
+	// counters reads every stream counter and histogram count once the
+	// queued bytes are scanned.
+	counters := func() map[string]float64 {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, sst := srv.stream.stats(); sst.QueuedBytes == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("queued stream bytes never scanned")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		sc := srv.scrape()
+		out := map[string]float64{}
+		for _, r := range table {
+			if r.typ == "gauge" || len(r.from) != 1 || !strings.HasPrefix(r.from[0], "StreamServerStats.") {
+				continue
+			}
+			x := r.samples(sc)[0]
+			if x.h != nil {
+				x.v = float64(x.h.Count)
+			}
+			out[r.name] = x.v
+		}
+		return out
+	}
+	check := func(prev, cur map[string]float64) {
+		t.Helper()
+		for name, v := range prev {
+			if cur[name] < v {
+				t.Errorf("%s fell from %v to %v", name, v, cur[name])
+			}
+		}
+	}
+
+	feedStream(t, srv, id, chunk)
+	first := counters()
+	if rec, _ := doJSON(t, srv, http.MethodPost, "/patterns", `{"patterns": ["urs"]}`); rec.Code != http.StatusOK {
+		t.Fatalf("insert status %d", rec.Code)
+	}
+	feedStream(t, srv, id, chunk)
+	second := counters()
+	check(first, second)
+	if got := second["pardict_stream_fed_bytes_total"]; got != float64(2*len(chunk)) {
+		t.Fatalf("fed bytes after two feeds = %v, want %d", got, 2*len(chunk))
+	}
+	if second["pardict_stream_batches_total"] <= first["pardict_stream_batches_total"] ||
+		second["pardict_stream_latency_seconds"] <= first["pardict_stream_latency_seconds"] {
+		t.Fatalf("second feed not counted: %v then %v", first, second)
+	}
+
+	// Closing the last stream closes its retired engine.
+	if rec, _ := doJSON(t, srv, http.MethodDelete, "/stream/"+id, ""); rec.Code != http.StatusOK {
+		t.Fatalf("delete status %d", rec.Code)
+	}
+	third := counters()
+	check(second, third)
+	if third["pardict_stream_closes_total"] != 1 {
+		t.Fatalf("closes = %v, want 1", third["pardict_stream_closes_total"])
 	}
 }

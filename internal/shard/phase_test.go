@@ -119,7 +119,9 @@ func TestPhaseProgramOrderAcrossMerges(t *testing.T) {
 	set.SetWritePhaseMode(ModeSplit)
 
 	// One goroutine toggling one key: however the coordinator slices the log
-	// into merge batches, the final state must match program order.
+	// into merge batches, the final state must match program order. A Flush
+	// every 1000 ops merges at least once per stretch, so the log is always
+	// split across several batches whatever the merge loop's timing.
 	const rounds = 4001 // odd: ends inserted
 	key := []byte("toggle")
 	for i := 0; i < rounds; i++ {
@@ -130,13 +132,16 @@ func TestPhaseProgramOrderAcrossMerges(t *testing.T) {
 		} else if err := set.Delete(key, enc("toggle")); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
+		if i%1000 == 999 {
+			set.Flush()
+		}
 	}
 	set.Flush()
 	if !set.Has(key) {
 		t.Fatal("toggle must be live after an odd number of alternating ops")
 	}
 	if st := set.Stats(); st.Merges < 2 {
-		t.Skipf("only %d merges observed; batching not exercised on this run", st.Merges)
+		t.Fatalf("only %d merges; the Flush points must split the log into several batches", st.Merges)
 	}
 	checkMatch(t, set, "xtogglex", []string{"toggle"})
 }
