@@ -12,8 +12,7 @@ import (
 
 	"pardict/internal/ahocorasick"
 	"pardict/internal/core"
-	"pardict/internal/dict2d"
-	"pardict/internal/dict3d"
+	"pardict/internal/dictnd"
 	"pardict/internal/dynamic"
 	"pardict/internal/multimatch"
 	"pardict/internal/pram"
@@ -115,18 +114,21 @@ func BenchmarkE4SmallAlpha(b *testing.B) {
 // E5 — Theorem 6: 2-D dictionary matching at growing pattern side.
 func BenchmarkE5Dict2D(b *testing.B) {
 	const side = 256
-	text := workload.Grid(10, side, side, 4, 0.3)
+	text := workload.Flat(workload.Grid(10, side, side, 4, 0.3))
 	for _, m := range []int{4, 16, 32} {
-		pats := workload.SquarePatterns(9, 8, m, 4)
+		var pats [][]int32
+		for _, p := range workload.SquarePatterns(9, 8, m, 4) {
+			pats = append(pats, workload.Flat(p))
+		}
 		c := pram.New(0)
-		d, err := dict2d.Preprocess(c, pats)
+		d, err := dictnd.Preprocess(c, 2, pats)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.SetBytes(side * side)
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Match(c, text); err != nil {
+				if _, err := d.Match(c, text, []int{side, side}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -319,38 +321,26 @@ func max(a, b int) int {
 // E5b — the d = 3 engine at growing pattern side.
 func BenchmarkE5Dict3D(b *testing.B) {
 	const side = 48
-	text := cube3(100, side, 3)
+	text := workload.Text(100, side*side*side, 3)
 	for _, m := range []int{2, 4, 8} {
-		pats := make([][][][]int32, 4)
+		pats := make([][]int32, 4)
 		for i := range pats {
-			pats[i] = cube3(int64(m*10+i), m, 3)
+			pats[i] = workload.Text(int64(m*10+i), m*m*m, 3)
 		}
 		c := pram.New(0)
-		d, err := dict3d.Preprocess(c, pats)
+		d, err := dictnd.Preprocess(c, 3, pats)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.SetBytes(side * side * side)
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Match(c, text); err != nil {
+				if _, err := d.Match(c, text, []int{side, side, side}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-func cube3(seed int64, side, sigma int) [][][]int32 {
-	flat := workload.Text(seed, side*side*side, sigma)
-	out := make([][][]int32, side)
-	for z := 0; z < side; z++ {
-		out[z] = make([][]int32, side)
-		for y := 0; y < side; y++ {
-			out[z][y] = flat[(z*side+y)*side : (z*side+y+1)*side]
-		}
-	}
-	return out
 }
 
 // Streaming path: end-to-end chunked scanning throughput.

@@ -271,6 +271,30 @@ func TestMatch2DContextCanceled(t *testing.T) {
 	}
 }
 
+func TestMatch3DContextCanceled(t *testing.T) {
+	m, err := NewMatcher3D([][][][]byte{
+		{{[]byte("ab"), []byte("cd")}, {[]byte("ef"), []byte("gh")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := make([][][]byte, 16)
+	for z := range text {
+		text[z] = make([][]byte, 16)
+		for y := range text[z] {
+			text[z][y] = bytes.Repeat([]byte("abcdefgh"), 2)
+		}
+	}
+	gctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.Match3DContext(gctx, text); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
+	}
+	if _, err := m.Match3DContext(context.Background(), text); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStreamFeedContextCanceledIsRetryable(t *testing.T) {
 	m := cancelTestMatcher(t)
 	var got []int64

@@ -29,8 +29,7 @@ import (
 	"pardict/internal/ahocorasick"
 	"pardict/internal/benchrow"
 	"pardict/internal/core"
-	"pardict/internal/dict2d"
-	"pardict/internal/dict3d"
+	"pardict/internal/dictnd"
 	"pardict/internal/dynamic"
 	"pardict/internal/match2d"
 	"pardict/internal/multimatch"
@@ -281,11 +280,15 @@ func e5() {
 		pats := workload.SquarePatterns(9, 8, m, 4)
 		text := workload.Grid(10, side, side, 4, 0.3)
 		workload.PlantGrid(text, pats[0], 3, 5)
+		flat := make([][]int32, len(pats))
+		for i, p := range pats {
+			flat[i] = workload.Flat(p)
+		}
 		c := ctx()
-		d, err := dict2d.Preprocess(c, pats)
+		d, err := dictnd.Preprocess(c, 2, flat)
 		check(err)
 		c.ResetStats()
-		_, err = d.Match(c, text)
+		_, err = d.Match(c, workload.Flat(text), []int{side, side})
 		check(err)
 		wpn := float64(c.Work()) / float64(n)
 		depth := c.Depth()
@@ -299,7 +302,7 @@ func e5() {
 		row("%6d %12.2f %10.3f %8d %16.2f", m, wpn, wpn/math.Log2(float64(m)), depth,
 			float64(c2.Work())/float64(n))
 	}
-	fmt.Println("shape check: dict2d work/n grows as log m; the equal-size reduction stays ~flat.")
+	fmt.Println("shape check: dictnd work/n grows as log m; the equal-size reduction stays ~flat.")
 
 	// d = 3 (the fixed-d extension): same shape in the cube engine.
 	side3 := scale(64, 32)
@@ -307,34 +310,21 @@ func e5() {
 	fmt.Printf("%6s %12s %10s %8s   (d=3, text %d³)\n", "m", "work/n", "w/n/log2m", "depth", side3)
 	for _, m := range []int{2, 4, 8} {
 		rng := int64(m)
-		pats := make([][][][]int32, 4)
+		pats := make([][]int32, 4)
 		for i := range pats {
-			pats[i] = randCube3(rng+int64(i), m, 3)
+			pats[i] = workload.Text(rng+int64(i), m*m*m, 3)
 		}
-		text3 := randCube3(rng+99, side3, 3)
+		text3 := workload.Text(rng+99, n3, 3)
 		c := ctx()
-		d, err := dict3d.Preprocess(c, pats)
+		d, err := dictnd.Preprocess(c, 3, pats)
 		check(err)
 		c.ResetStats()
-		_, err = d.Match(c, text3)
+		_, err = d.Match(c, text3, []int{side3, side3, side3})
 		check(err)
 		wpn := float64(c.Work()) / float64(n3)
 		row("%6d %12.2f %10.3f %8d", m, wpn, wpn/math.Log2(float64(m)), c.Depth())
 	}
 	fmt.Println("shape check (d=3): work/n = 2·log2(m)+2 — the same Θ(n·log m) shape as d=1,2.")
-}
-
-// randCube3 builds a deterministic side³ cube over [0, sigma).
-func randCube3(seed int64, side, sigma int) [][][]int32 {
-	flat := workload.Text(seed, side*side*side, sigma)
-	out := make([][][]int32, side)
-	for z := 0; z < side; z++ {
-		out[z] = make([][]int32, side)
-		for y := 0; y < side; y++ {
-			out[z][y] = flat[(z*side+y)*side : (z*side+y+1)*side]
-		}
-	}
-	return out
 }
 
 // e6: Theorems 7/8 — partly dynamic: insert Θ(λ·log M) work, match Θ(n·log M).

@@ -323,6 +323,10 @@ func TestEveryRequestCountedOnce(t *testing.T) {
 		{http.MethodGet, "/debug/pprof/nosuchprofile", "", nil, "pprof", 404},
 		{http.MethodDelete, "/stream/" + id, "", nil, "stream_delete", 200},
 		{http.MethodDelete, "/stream/" + id, "", nil, "stream_delete", 404},
+		{http.MethodGet, "/nosuchpath", "", nil, "unmatched", 404},
+		{http.MethodGet, "/stream", "", nil, "unmatched", 405},
+		{http.MethodPut, "/stream/" + id + "/feed", "x", nil, "unmatched", 405},
+		{http.MethodPost, "/debug/trace", "", nil, "unmatched", 405},
 	} {
 		before := counts()
 		req := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
@@ -333,6 +337,9 @@ func TestEveryRequestCountedOnce(t *testing.T) {
 		srv.ServeHTTP(rec, req)
 		if tc.code != 0 && rec.Code != tc.code {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.target, rec.Code, tc.code)
+		}
+		if tc.code == http.StatusMethodNotAllowed && tc.endpoint == "unmatched" && rec.Header().Get("Allow") == "" {
+			t.Errorf("%s %s: 405 without an Allow header", tc.method, tc.target)
 		}
 		before[tc.endpoint+","+strconv.Itoa(tc.code)]++
 		if after := counts(); !reflect.DeepEqual(after, before) {

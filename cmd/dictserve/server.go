@@ -92,14 +92,29 @@ func newServer(m *pardict.ShardedMatcher, maxBody int64, timeout time.Duration, 
 type handler func(http.ResponseWriter, *http.Request) int
 
 // handle registers h under pattern and counts every request it finishes,
-// exactly once, under endpoint in pardict_requests_total.
+// exactly once, under endpoint in pardict_requests_total. h gets the
+// connection's own writer back from the muxWriter ServeHTTP wrapped it in.
 func (s *server) handle(pattern, endpoint string, h handler) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		code := h(w, r)
-		s.metrics.mu.Lock()
-		s.metrics.requests[reqKey{endpoint, code}]++
-		s.metrics.mu.Unlock()
+		mw := w.(*muxWriter)
+		mw.routed = true
+		s.count(endpoint, h(mw.ResponseWriter, r))
 	})
+}
+
+func (s *server) count(endpoint string, code int) {
+	s.metrics.mu.Lock()
+	s.metrics.requests[reqKey{endpoint, code}]++
+	s.metrics.mu.Unlock()
+}
+
+// muxWriter is the writer ServeHTTP hands the mux. A registered route marks
+// it routed; a request the mux answers itself (404 for an unknown path, 405
+// with Allow for a wrong method, a redirect to a cleaned path) writes
+// through it, which records the status for the "unmatched" count.
+type muxWriter struct {
+	statusWriter
+	routed bool
 }
 
 // foreign adapts a net/http/pprof handler by recording the status it writes:
@@ -167,7 +182,11 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) int {
 func (s *server) Close() { s.stream.Close() }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	mw := &muxWriter{statusWriter: statusWriter{w, http.StatusOK}}
+	s.mux.ServeHTTP(mw, r)
+	if !mw.routed {
+		s.count("unmatched", mw.code)
+	}
 }
 
 // requestCtx derives the matching context for one request: the request's own

@@ -2,6 +2,8 @@ package pardict
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 
 	"pardict/internal/ahocorasick"
@@ -155,10 +157,11 @@ func FuzzStreamChunking(f *testing.F) {
 }
 
 // FuzzMatch2DOracle differentially tests the 2-D matcher against the brute
-// force oracle on small grids: the text is the input bytes folded to width
+// force oracles on small grids: the text is the input bytes folded to width
 // w over a 4-symbol alphabet, and the patterns are squares carved out of
 // the text itself (so full matches are guaranteed to occur), at corners and
-// sides derived from the remaining input bytes.
+// sides derived from the remaining input bytes. Every cell's Largest,
+// PrefixSide and All must agree with brute force.
 func FuzzMatch2DOracle(f *testing.F) {
 	f.Add([]byte("abcdabcdabcdabcd"), byte(4), byte(0), byte(5))
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaa"), byte(5), byte(3), byte(9))
@@ -216,6 +219,7 @@ func FuzzMatch2DOracle(f *testing.F) {
 		}
 
 		want := naive.LargestFullMatch2D(ip, it)
+		wantSide, _ := naive.LongestSquarePrefix2D(ip, it)
 		m, err := NewMatcher2D(pats)
 		if err != nil {
 			t.Fatal(err)
@@ -231,6 +235,125 @@ func FuzzMatch2DOracle(f *testing.F) {
 				if (w >= 0) != ok || (ok && int32(p) != w) {
 					t.Fatalf("cell (%d,%d): got %d,%v want %d (grid %dx%d, %d pats)",
 						i, j, p, ok, w, rows, wd, len(pats))
+				}
+				if got := r.PrefixSide(i, j); got != int(wantSide[i][j]) {
+					t.Fatalf("cell (%d,%d): prefix side %d want %d", i, j, got, wantSide[i][j])
+				}
+				// Patterns matching at one cell have distinct sides, so
+				// largest first is one order.
+				var all []int
+				for pi, q := range ip {
+					if squareAt(q, it, i, j) {
+						all = append(all, pi)
+					}
+				}
+				sort.Slice(all, func(a, b int) bool { return len(ip[all[a]]) > len(ip[all[b]]) })
+				if got := r.All(i, j, nil); fmt.Sprint(got) != fmt.Sprint(all) {
+					t.Fatalf("cell (%d,%d): All %v want %v", i, j, got, all)
+				}
+			}
+		}
+	})
+}
+
+// squareAt reports whether square p occurs in text with its corner at (i, j).
+func squareAt(p, text [][]int32, i, j int) bool {
+	if i+len(p) > len(text) || j+len(p) > len(text[i]) {
+		return false
+	}
+	for a, row := range p {
+		for b, v := range row {
+			if text[i+a][j+b] != v {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzMatch3DOracle differentially tests the 3-D matcher against the brute
+// force oracle: the text is the input bytes folded into a box of w×w rows
+// over a 4-symbol alphabet, and the patterns are cubes carved out of it at
+// input-derived corners and sides 1–3.
+func FuzzMatch3DOracle(f *testing.F) {
+	f.Add([]byte("abcdabcdabcdabcdabcdabcdabcd"), byte(3), byte(0), byte(5))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), byte(4), byte(3), byte(9))
+	f.Add([]byte("xyxyxyxyxyxyxyxyxyxyxyxyxyxy"), byte(2), byte(17), byte(2))
+	f.Fuzz(func(t *testing.T, data []byte, w, c1, c2 byte) {
+		wd := int(w%4) + 1
+		zd := len(data) / (wd * wd)
+		if zd == 0 {
+			return
+		}
+		if zd > 6 {
+			zd = 6
+		}
+		text := make([][][]byte, zd)
+		it := make([][][]int32, zd)
+		for z := range text {
+			text[z] = make([][]byte, wd)
+			it[z] = make([][]int32, wd)
+			for y := range text[z] {
+				text[z][y] = make([]byte, wd)
+				it[z][y] = make([]int32, wd)
+				for x := range text[z][y] {
+					v := data[(z*wd+y)*wd+x] & 3
+					text[z][y][x] = v
+					it[z][y][x] = int32(v)
+				}
+			}
+		}
+
+		seen := map[string]bool{}
+		var pats [][][][]byte
+		var ip [][][][]int32
+		for k, c := range []byte{c1, c2, c1 ^ c2, c1 + 7} {
+			side := k%3 + 1
+			if side > zd || side > wd {
+				continue
+			}
+			z := int(c>>5) % (zd - side + 1)
+			y := int(c>>2&7) % (wd - side + 1)
+			x := int(c&3) % (wd - side + 1)
+			p := make([][][]byte, side)
+			e := make([][][]int32, side)
+			key := make([]byte, 0, side*side*side)
+			for a := range p {
+				p[a] = make([][]byte, side)
+				e[a] = make([][]int32, side)
+				for b := range p[a] {
+					p[a][b] = append([]byte(nil), text[z+a][y+b][x:x+side]...)
+					e[a][b] = append([]int32(nil), it[z+a][y+b][x:x+side]...)
+					key = append(key, p[a][b]...)
+				}
+			}
+			if seen[string(key)] {
+				continue
+			}
+			seen[string(key)] = true
+			pats = append(pats, p)
+			ip = append(ip, e)
+		}
+		if len(pats) == 0 {
+			return
+		}
+
+		want := naive.LargestFullMatch3D(ip, it)
+		m, err := NewMatcher3D(pats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Match3D(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for z := range want {
+			for y := range want[z] {
+				for x, w := range want[z][y] {
+					if got[z][y][x] != w {
+						t.Fatalf("cell (%d,%d,%d): got %d want %d (box %dx%dx%d, %d pats)",
+							z, y, x, got[z][y][x], w, zd, wd, wd, len(pats))
+					}
 				}
 			}
 		}

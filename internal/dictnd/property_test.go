@@ -1,4 +1,4 @@
-package dict2d
+package dictnd
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 
 	"pardict/internal/naive"
 	"pardict/internal/naming"
+	"pardict/internal/workload"
 )
 
 // TestQuickEqualsNaive: arbitrary 2-D instances equal the oracle.
@@ -26,7 +27,7 @@ func TestQuickEqualsNaive(t *testing.T) {
 					p[a][b] = int32(rng.Intn(sigma))
 				}
 			}
-			k := gridKey(p)
+			k := cellKey(workload.Flat(p))
 			if seen[k] {
 				continue
 			}
@@ -42,21 +43,19 @@ func TestQuickEqualsNaive(t *testing.T) {
 			}
 		}
 		c := ctx()
-		d, err := Preprocess(c, pats)
+		d, err := Preprocess(c, 2, flatAll2(pats))
 		if err != nil {
 			return false
 		}
-		r, err := d.Match(c, text)
+		r, err := d.Match(c, workload.Flat(text), shape2(text))
 		if err != nil {
 			return false
 		}
 		wantSide, _ := naive.LongestSquarePrefix2D(pats, text)
-		wantPat := naive.LargestFullMatch2D(pats, text)
-		for i := range text {
-			for j := range text[i] {
-				if r.Side[i][j] != wantSide[i][j] || r.Pat[i][j] != wantPat[i][j] {
-					return false
-				}
+		side, pat := workload.Flat(wantSide), workload.Flat(naive.LargestFullMatch2D(pats, text))
+		for i := range side {
+			if r.Side[i] != side[i] || r.Pat[i] != pat[i] {
+				return false
 			}
 		}
 		return true
@@ -73,32 +72,23 @@ func TestQuickEqualsNaive(t *testing.T) {
 func TestUnifiedNamesAcrossVariants(t *testing.T) {
 	// Pattern B's top-left 2x2 equals pattern A's top-left 2x2; matching a
 	// text equal to that 2x2 must report side 2 with the same name.
-	a := [][]int32{
-		{1, 2, 9},
-		{3, 4, 9},
-		{9, 9, 9},
+	a := []int32{
+		1, 2, 9,
+		3, 4, 9,
+		9, 9, 9,
 	}
-	b := [][]int32{
-		{1, 2},
-		{3, 4},
+	b := []int32{
+		1, 2,
+		3, 4,
 	}
-	c := ctx()
-	d, err := Preprocess(c, [][][]int32{a, b})
-	if err != nil {
-		t.Fatal(err)
+	_, r := run(t, 2, [][]int32{a, b}, b, []int{2, 2})
+	if r.Side[0] != 2 {
+		t.Fatalf("side = %d", r.Side[0])
 	}
-	text := [][]int32{{1, 2}, {3, 4}}
-	r, err := d.Match(c, text)
-	if err != nil {
-		t.Fatal(err)
+	if r.Pat[0] != 1 { // pattern b fully matches
+		t.Fatalf("pat = %d", r.Pat[0])
 	}
-	if r.Side[0][0] != 2 {
-		t.Fatalf("side = %d", r.Side[0][0])
-	}
-	if r.Pat[0][0] != 1 { // pattern b fully matches
-		t.Fatalf("pat = %d", r.Pat[0][0])
-	}
-	if r.Name[0][0] == naming.Empty {
+	if r.Name[0] == naming.Empty {
 		t.Fatal("name missing")
 	}
 }
@@ -119,7 +109,7 @@ func TestCheckerboardAdversarial(t *testing.T) {
 	for _, side := range []int{2, 3, 5, 7, 8} {
 		pats := [][][]int32{mk(side, 0), mk(side, 1)}
 		text := mk(3*side, 0)
-		check(t, pats, text)
+		check2(t, pats, text)
 	}
 }
 
@@ -153,5 +143,5 @@ func TestManySizesOnePattern(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		copy(text[4+i][5:], big[i])
 	}
-	check(t, pats, text)
+	check2(t, pats, text)
 }

@@ -10,7 +10,7 @@
 //     column matcher runs down the columns of the name grid.
 //
 // The same construction with pattern slices generalizes to any fixed d; the
-// package provides d = 2 and d = 3.
+// package provides d = 2, the only dimension a caller uses.
 package match2d
 
 import (

@@ -177,116 +177,6 @@ func TestNonSquareRejected(t *testing.T) {
 	}
 }
 
-// --- 3D ---
-
-func cube(rng *rand.Rand, m, sigma int, shift int32) [][][]int32 {
-	p := make([][][]int32, m)
-	for z := range p {
-		p[z] = randGrid(rng, m, m, sigma)
-		for y := range p[z] {
-			for x := range p[z][y] {
-				p[z][y][x] += shift
-			}
-		}
-	}
-	return p
-}
-
-func TestPlanted3D(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, m := range []int{2, 3, 5} {
-		pat := cube(rng, m, 3, 10) // disjoint alphabet
-		text := cube(rng, 3*m, 3, 0)
-		pz, py, px := m-1, 1, m
-		for z := 0; z < m; z++ {
-			for y := 0; y < m; y++ {
-				copy(text[pz+z][py+y][px:], pat[z][y])
-			}
-		}
-		c := ctx()
-		mm, err := New3D(c, [][][][]int32{pat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mm.Match(c, text)
-		for z := range got {
-			for y := range got[z] {
-				for x := range got[z][y] {
-					want := int32(-1)
-					if z == pz && y == py && x == px {
-						want = 0
-					}
-					if got[z][y][x] != want {
-						t.Fatalf("m=%d cell (%d,%d,%d): got %d want %d",
-							m, z, y, x, got[z][y][x], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRandom3DAgainstBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 10; trial++ {
-		m := 1 + rng.Intn(3)
-		np := 1 + rng.Intn(3)
-		pats := make([][][][]int32, np)
-		for i := range pats {
-			pats[i] = cube(rng, m, 2, 0)
-		}
-		n := 4 + rng.Intn(6)
-		text := cube(rng, n, 2, 0)
-		c := ctx()
-		mm, err := New3D(c, pats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mm.Match(c, text)
-		// brute force
-		for z := 0; z+m <= n; z++ {
-			for y := 0; y+m <= n; y++ {
-				for x := 0; x+m <= n; x++ {
-					want := int32(-1)
-					for pi := len(pats) - 1; pi >= 0; pi-- {
-						ok := true
-						for a := 0; a < m && ok; a++ {
-							for b := 0; b < m && ok; b++ {
-								for d := 0; d < m; d++ {
-									if pats[pi][a][b][d] != text[z+a][y+b][x+d] {
-										ok = false
-										break
-									}
-								}
-							}
-						}
-						if ok {
-							want = int32(pi)
-						}
-					}
-					g := got[z][y][x]
-					if g == want {
-						continue
-					}
-					if g >= 0 && want >= 0 && sameCube(pats[g], pats[want]) {
-						continue
-					}
-					t.Fatalf("cell (%d,%d,%d): got %d want %d", z, y, x, g, want)
-				}
-			}
-		}
-	}
-}
-
-func sameCube(a, b [][][]int32) bool {
-	for z := range a {
-		if !sameGrid(a[z], b[z]) {
-			return false
-		}
-	}
-	return true
-}
-
 func TestMetadataAccessors(t *testing.T) {
 	c := ctx()
 	mm, err := New(c, [][][]int32{grid("ab", "cd")})
@@ -295,12 +185,5 @@ func TestMetadataAccessors(t *testing.T) {
 	}
 	if mm.M() != 2 || mm.PatternCount() != 1 {
 		t.Fatalf("M=%d PatternCount=%d", mm.M(), mm.PatternCount())
-	}
-	m3, err := New3D(c, [][][][]int32{{{{1, 2}, {3, 4}}, {{5, 6}, {7, 8}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3.M() != 2 {
-		t.Fatalf("M3 = %d", m3.M())
 	}
 }

@@ -154,15 +154,3 @@ func (f *Frozen) Range(fn func(k uint64, v int32) bool) {
 		}
 	}
 }
-
-// ToTable rebuilds a map-backed Table with the same entries — the inverse of
-// Freeze, used by the E15 ablation to run the identical cascade through the
-// mutable representation.
-func (f *Frozen) ToTable(c *pram.Ctx) *Table {
-	t := NewTable(c)
-	f.Range(func(k uint64, v int32) bool {
-		t.Put(k, v)
-		return true
-	})
-	return t
-}

@@ -202,25 +202,3 @@ func FuzzFrozenVsMap(f *testing.F) {
 		}
 	})
 }
-
-// TestToTableRoundTrip checks the Freeze -> ToTable -> Freeze cycle
-// preserves every entry (the E15 ablation path).
-func TestToTableRoundTrip(t *testing.T) {
-	c := pram.New(1)
-	tb := NewTable(c)
-	for i := 0; i < 500; i++ {
-		tb.Put(uint64(i)*977+13, int32(i))
-	}
-	f1 := Freeze(c, tb)
-	t2 := f1.ToTable(c)
-	if t2.Len() != 500 {
-		t.Fatalf("round-trip len %d", t2.Len())
-	}
-	f2 := Freeze(c, t2)
-	f1.Range(func(k uint64, v int32) bool {
-		if got, ok := f2.Get(k); !ok || got != v {
-			t.Fatalf("key %d: (%d,%v) want %d", k, got, ok, v)
-		}
-		return true
-	})
-}

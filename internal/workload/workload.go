@@ -183,6 +183,16 @@ func SquarePatterns(seed int64, np, m, sigma int) [][][]int32 {
 	return out
 }
 
+// Flat concatenates the rows of g: the row-major layout package dictnd
+// takes for patterns and texts.
+func Flat(g [][]int32) []int32 {
+	var out []int32
+	for _, row := range g {
+		out = append(out, row...)
+	}
+	return out
+}
+
 // PlantGrid copies pattern p into g at (i, j).
 func PlantGrid(g [][]int32, p [][]int32, i, j int) {
 	for a := range p {

@@ -375,15 +375,29 @@ const batchInflight = 4
 // of one text overlap useful work from the next. Cancellation aborts the
 // whole batch: the first error is returned and no partial results.
 func (m *Matcher) MatchBatch(gctx context.Context, texts [][]byte) ([]*Matches, error) {
-	out := make([]*Matches, len(texts))
+	return matchBatch(texts, func(t []byte) (*Matches, error) {
+		ctx := m.cfg.newCtxFor(gctx)
+		r := &Matches{}
+		obs.Do(gctx, func(lctx context.Context) {
+			ctx.SetLabelContext(lctx)
+			m.matchOn(ctx, r, t)
+		}, "engine", m.engine.String(), "op", "batch")
+		if err := canceledErr(ctx); err != nil {
+			return nil, err
+		}
+		return r, nil
+	})
+}
+
+// matchBatch runs match on every text, at most batchInflight at a time, and
+// returns the results in order. The first error wins: it is returned with
+// no partial results, and texts not yet started when it lands are skipped.
+func matchBatch[R any](texts [][]byte, match func([]byte) (R, error)) ([]R, error) {
+	out := make([]R, len(texts))
 	if len(texts) == 0 {
 		return out, nil
 	}
-	inflight := batchInflight
-	if inflight > len(texts) {
-		inflight = len(texts)
-	}
-	sem := make(chan struct{}, inflight)
+	sem := make(chan struct{}, min(batchInflight, len(texts)))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -399,13 +413,8 @@ func (m *Matcher) MatchBatch(gctx context.Context, texts [][]byte) ([]*Matches, 
 		go func(i int, t []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			ctx := m.cfg.newCtxFor(gctx)
-			r := &Matches{}
-			obs.Do(gctx, func(lctx context.Context) {
-				ctx.SetLabelContext(lctx)
-				m.matchOn(ctx, r, t)
-			}, "engine", m.engine.String(), "op", "batch")
-			if err := canceledErr(ctx); err != nil {
+			r, err := match(t)
+			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err

@@ -2,60 +2,108 @@ package pardict
 
 import (
 	"context"
+	"fmt"
 
 	"pardict/internal/alpha"
-	"pardict/internal/dict2d"
-	"pardict/internal/dict3d"
+	"pardict/internal/dictnd"
 	"pardict/internal/obs"
 )
+
+// cubeDict is the engine behind Matcher2D and Matcher3D: a dictnd
+// dictionary of cube patterns over the configured alphabet.
+type cubeDict struct {
+	cfg *config
+	enc *alpha.Encoder
+	d   *dictnd.Dict
+}
+
+// newCubeDict encodes dim-dimensional cube patterns, each given as its
+// side^dim bytes in row-major order, and preprocesses them in O(M) work.
+func newCubeDict(dim int, patterns [][]byte, opts []Option) (cubeDict, error) {
+	cfg := buildConfig(opts)
+	enc, err := cfg.encoder()
+	if err != nil {
+		return cubeDict{}, err
+	}
+	encoded := make([][]int32, len(patterns))
+	for i, p := range patterns {
+		if encoded[i], err = enc.EncodePattern(p); err != nil {
+			return cubeDict{}, err
+		}
+	}
+	d, err := dictnd.Preprocess(cfg.newCtx(), dim, encoded)
+	if err != nil {
+		return cubeDict{}, err
+	}
+	return cubeDict{cfg: cfg, enc: enc, d: d}, nil
+}
+
+// MaxSide reports the largest pattern side.
+func (m *cubeDict) MaxSide() int { return m.d.MaxSide() }
+
+// PatternCount reports the number of patterns.
+func (m *cubeDict) PatternCount() int { return m.d.PatternCount() }
+
+// match scans a row-major text of the given shape under gctx; cancellation
+// aborts the scan within one parallel phase and returns an error wrapping
+// ErrCanceled and the context's cause.
+func (m *cubeDict) match(gctx context.Context, engine string, text []byte, shape []int) (*dictnd.Result, Stats, error) {
+	ctx := m.cfg.newCtxFor(gctx)
+	enc := m.enc.Encode(text)
+	var r *dictnd.Result
+	var err error
+	obs.Do(gctx, func(lctx context.Context) {
+		ctx.SetLabelContext(lctx)
+		r, err = m.d.Match(ctx, enc, shape)
+	}, "engine", engine, "op", "match")
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if err := canceledErr(ctx); err != nil {
+		return nil, Stats{}, err
+	}
+	return r, statsOf(ctx), nil
+}
+
+// appendRows appends rows to dst and reports whether each was w bytes long.
+func appendRows(dst []byte, rows [][]byte, w int) ([]byte, bool) {
+	for _, row := range rows {
+		if len(row) != w {
+			return dst, false
+		}
+		dst = append(dst, row...)
+	}
+	return dst, true
+}
 
 // Matcher2D is a preprocessed dictionary of square byte patterns of possibly
 // different sides (§5, Theorem 6). Immutable; safe for concurrent Match2D.
 type Matcher2D struct {
-	cfg *config
-	enc *alpha.Encoder
-	d   *dict2d.Dict
-	np  int
+	cubeDict
 }
 
 // NewMatcher2D preprocesses square patterns (each [][]byte must be s rows of
 // s bytes) in O(M) work.
 func NewMatcher2D(patterns [][][]byte, opts ...Option) (*Matcher2D, error) {
-	cfg := buildConfig(opts)
-	enc, err := cfg.encoder()
-	if err != nil {
-		return nil, err
-	}
-	encoded := make([][][]int32, len(patterns))
+	flat := make([][]byte, len(patterns))
 	for i, p := range patterns {
-		encoded[i] = make([][]int32, len(p))
-		for r, row := range p {
-			e, err := enc.EncodePattern(row)
-			if err != nil {
-				return nil, err
-			}
-			encoded[i][r] = e
+		var ok bool
+		if flat[i], ok = appendRows(nil, p, len(p)); !ok {
+			return nil, dictnd.ErrNotCube
 		}
 	}
-	d, err := dict2d.Preprocess(cfg.newCtx(), encoded)
+	cd, err := newCubeDict(2, flat, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Matcher2D{cfg: cfg, enc: enc, d: d, np: len(patterns)}, nil
+	return &Matcher2D{cd}, nil
 }
-
-// PatternCount reports the number of patterns.
-func (m *Matcher2D) PatternCount() int { return m.np }
-
-// MaxSide reports the largest pattern side.
-func (m *Matcher2D) MaxSide() int { return m.d.MaxSide() }
 
 // Matches2D is the per-cell result of Match2D.
 type Matches2D struct {
-	m     *Matcher2D
-	r2d   *dict2d.Result
-	pat   [][]int32
-	side  [][]int32
+	d     *dictnd.Dict
+	r     *dictnd.Result
+	cols  int
 	stats Stats
 }
 
@@ -70,24 +118,19 @@ func (m *Matcher2D) Match2D(text [][]byte) (*Matches2D, error) {
 // within one parallel phase and returns an error wrapping ErrCanceled and
 // the context's cause.
 func (m *Matcher2D) Match2DContext(gctx context.Context, text [][]byte) (*Matches2D, error) {
-	ctx := m.cfg.newCtxFor(gctx)
-	enc := make([][]int32, len(text))
-	for i, row := range text {
-		enc[i] = m.enc.Encode(row)
+	cols := 0
+	if len(text) > 0 {
+		cols = len(text[0])
 	}
-	var r *dict2d.Result
-	var err error
-	obs.Do(gctx, func(lctx context.Context) {
-		ctx.SetLabelContext(lctx)
-		r, err = m.d.Match(ctx, enc)
-	}, "engine", "2d", "op", "match")
+	flat, ok := appendRows(make([]byte, 0, len(text)*cols), text, cols)
+	if !ok {
+		return nil, dictnd.ErrRagged
+	}
+	r, stats, err := m.match(gctx, "2d", flat, []int{len(text), cols})
 	if err != nil {
 		return nil, err
 	}
-	if err := canceledErr(ctx); err != nil {
-		return nil, err
-	}
-	return &Matches2D{m: m, r2d: r, pat: r.Pat, side: r.Side, stats: statsOf(ctx)}, nil
+	return &Matches2D{d: m.d, r: r, cols: cols, stats: stats}, nil
 }
 
 // SchedulerStats snapshots the counters of the scheduler this matcher
@@ -96,23 +139,30 @@ func (m *Matcher2D) SchedulerStats() SchedulerStats {
 	return schedulerStatsOf(m.cfg.schedulerPool())
 }
 
+// cell returns the flat index of (i, j). A column outside the text panics,
+// as indexing a row would; a row outside it leaves the flat arrays.
+func (r *Matches2D) cell(i, j int) int {
+	if j < 0 || j >= r.cols {
+		panic(fmt.Sprintf("pardict: column %d out of range [0, %d)", j, r.cols))
+	}
+	return i*r.cols + j
+}
+
 // Largest returns the index of the largest pattern cornered at (i, j) and
 // whether any matches.
 func (r *Matches2D) Largest(i, j int) (int, bool) {
-	p := r.pat[i][j]
+	p := r.r.Pat[r.cell(i, j)]
 	return int(p), p >= 0
 }
 
 // PrefixSide reports the side of the largest dictionary square-prefix
 // cornered at (i, j) — the 2-D prefix-matching output.
-func (r *Matches2D) PrefixSide(i, j int) int { return int(r.side[i][j]) }
+func (r *Matches2D) PrefixSide(i, j int) int { return int(r.r.Side[r.cell(i, j)]) }
 
 // All appends to dst the indices of every pattern cornered at (i, j),
 // largest side first (output-sensitive all-matches expansion).
 func (r *Matches2D) All(i, j int, dst []int) []int {
-	var buf []int32
-	buf = r.m.d.AllMatches(r.r2d, i, j, buf)
-	for _, p := range buf {
+	for _, p := range r.d.AllMatches(r.r, r.cell(i, j), nil) {
 		dst = append(dst, int(p))
 	}
 	return dst
@@ -122,47 +172,29 @@ func (r *Matches2D) All(i, j int, dst []int) []int {
 func (r *Matches2D) Stats() Stats { return r.stats }
 
 // Matcher3D matches a dictionary of cube patterns of (possibly) different
-// sides — the d = 3 instance of the paper's fixed-d claim (package dict3d).
+// sides — the d = 3 instance of the paper's fixed-d claim.
 type Matcher3D struct {
-	cfg *config
-	enc *alpha.Encoder
-	d   *dict3d.Dict
+	cubeDict
 }
 
 // NewMatcher3D preprocesses cube patterns (pattern[z][y][x]; each must be an
 // s×s×s cube, sides may differ across patterns) in O(M) work.
 func NewMatcher3D(patterns [][][][]byte, opts ...Option) (*Matcher3D, error) {
-	cfg := buildConfig(opts)
-	enc, err := cfg.encoder()
-	if err != nil {
-		return nil, err
-	}
-	encoded := make([][][][]int32, len(patterns))
+	flat := make([][]byte, len(patterns))
 	for i, p := range patterns {
-		encoded[i] = make([][][]int32, len(p))
-		for z, slice := range p {
-			encoded[i][z] = make([][]int32, len(slice))
-			for y, row := range slice {
-				e, err := enc.EncodePattern(row)
-				if err != nil {
-					return nil, err
-				}
-				encoded[i][z][y] = e
+		for _, slice := range p {
+			var ok bool
+			if flat[i], ok = appendRows(flat[i], slice, len(p)); !ok || len(slice) != len(p) {
+				return nil, dictnd.ErrNotCube
 			}
 		}
 	}
-	d, err := dict3d.Preprocess(cfg.newCtx(), encoded)
+	cd, err := newCubeDict(3, flat, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Matcher3D{cfg: cfg, enc: enc, d: d}, nil
+	return &Matcher3D{cd}, nil
 }
-
-// MaxSide reports the largest pattern side.
-func (m *Matcher3D) MaxSide() int { return m.d.MaxSide() }
-
-// PatternCount reports the number of patterns.
-func (m *Matcher3D) PatternCount() int { return m.d.PatternCount() }
 
 // Match3D scans a box-shaped text and returns, per cell, the index of the
 // largest pattern whose corner matches there, or -1 (Theorem 6 extended to
@@ -175,25 +207,28 @@ func (m *Matcher3D) Match3D(text [][][]byte) ([][][]int32, error) {
 // within one parallel phase and returns an error wrapping ErrCanceled and
 // the context's cause.
 func (m *Matcher3D) Match3DContext(gctx context.Context, text [][][]byte) ([][][]int32, error) {
-	ctx := m.cfg.newCtxFor(gctx)
-	enc := make([][][]int32, len(text))
-	for z, slice := range text {
-		enc[z] = make([][]int32, len(slice))
-		for y, row := range slice {
-			enc[z][y] = m.enc.Encode(row)
+	yd, xd := 0, 0
+	if len(text) > 0 && len(text[0]) > 0 {
+		yd, xd = len(text[0]), len(text[0][0])
+	}
+	flat := make([]byte, 0, len(text)*yd*xd)
+	for _, slice := range text {
+		var ok bool
+		if flat, ok = appendRows(flat, slice, xd); !ok || len(slice) != yd {
+			return nil, dictnd.ErrRagged
 		}
 	}
-	var r *dict3d.Result
-	var err error
-	obs.Do(gctx, func(lctx context.Context) {
-		ctx.SetLabelContext(lctx)
-		r, err = m.d.Match(ctx, enc)
-	}, "engine", "3d", "op", "match")
+	r, _, err := m.match(gctx, "3d", flat, []int{len(text), yd, xd})
 	if err != nil {
 		return nil, err
 	}
-	if err := canceledErr(ctx); err != nil {
-		return nil, err
+	out := make([][][]int32, len(text))
+	for z := range out {
+		out[z] = make([][]int32, yd)
+		for y := range out[z] {
+			lo := (z*yd + y) * xd
+			out[z][y] = r.Pat[lo : lo+xd : lo+xd]
+		}
 	}
-	return r.Pat, nil
+	return out, nil
 }

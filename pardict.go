@@ -282,12 +282,7 @@ func (c *config) schedulerPool() *pram.Pool {
 // MatchContext), the execution records its phase spans into it; otherwise the
 // trace hooks are nil checks.
 func (c *config) newCtxFor(gctx context.Context) *pram.Ctx {
-	var ctx *pram.Ctx
-	if c.pool != nil {
-		ctx = pram.NewCtx(gctx, c.pool.p)
-	} else {
-		ctx = pram.NewCtx(gctx, pram.Shared(c.procs))
-	}
+	ctx := pram.NewCtx(gctx, c.schedulerPool())
 	if t := trace.FromContext(gctx); t != nil {
 		ctx.SetTrace(t)
 	}

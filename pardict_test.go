@@ -400,6 +400,50 @@ func TestMatcher3DMixedSizes(t *testing.T) {
 	}
 }
 
+// TestMatcherShapeErrors: patterns that are not squares (cubes) and texts
+// that are not boxes are rejected, including a ragged pattern whose cell
+// count happens to be a square.
+func TestMatcherShapeErrors(t *testing.T) {
+	for _, p := range [][][]byte{
+		{[]byte("abc"), []byte("d")},
+		{[]byte("ab"), []byte("c")},
+	} {
+		if _, err := NewMatcher2D([][][]byte{p}); err == nil {
+			t.Fatalf("pattern %q accepted", p)
+		}
+	}
+	if _, err := NewMatcher2D([][][]byte{{[]byte("ab"), []byte("cd")}}, WithAlphabet([]byte("abc"))); err == nil {
+		t.Fatal("pattern outside the alphabet accepted")
+	}
+	m, err := NewMatcher2D([][][]byte{{[]byte("a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Match2D([][]byte{[]byte("ab"), []byte("a"), []byte("abc")}); err == nil {
+		t.Fatal("ragged 2-D text accepted")
+	}
+	for _, p := range [][][][]byte{
+		{{[]byte("ab"), []byte("cd"), []byte("ef")}, {[]byte("gh")}},
+		{{[]byte("ab"), []byte("cd")}, {[]byte("ef"), []byte("g")}},
+	} {
+		if _, err := NewMatcher3D([][][][]byte{p}); err == nil {
+			t.Fatalf("pattern %q accepted", p)
+		}
+	}
+	m3, err := NewMatcher3D([][][][]byte{{{[]byte("a")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range [][][][]byte{
+		{{[]byte("ab"), []byte("ab")}, {[]byte("abab")}},
+		{{[]byte("ab"), []byte("ab")}, {[]byte("ab"), []byte("a")}},
+	} {
+		if _, err := m3.Match3D(text); err == nil {
+			t.Fatalf("ragged 3-D text %q accepted", text)
+		}
+	}
+}
+
 func TestMatches2DAll(t *testing.T) {
 	pats := [][][]byte{
 		{[]byte("a")},
@@ -420,6 +464,13 @@ func TestMatches2DAll(t *testing.T) {
 	if out := r.All(1, 1, nil); len(out) != 0 {
 		t.Fatalf("cell (1,1): %v", out)
 	}
+	// A column past the row's end is out of range, not the next row's cell.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Largest(0, 2) on a 2-column text did not panic")
+		}
+	}()
+	r.Largest(0, 2)
 }
 
 func TestStreamEqualLengthEngine(t *testing.T) {

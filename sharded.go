@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"pardict/internal/alpha"
 	"pardict/internal/obs"
@@ -335,47 +334,9 @@ func (m *ShardedMatcher) MatchContext(gctx context.Context, text []byte) (*Shard
 // Matcher.MatchBatch). Each text observes the dictionary as of its own scan
 // start. Cancellation aborts the whole batch.
 func (m *ShardedMatcher) MatchBatch(gctx context.Context, texts [][]byte) ([]*ShardedMatches, error) {
-	out := make([]*ShardedMatches, len(texts))
-	if len(texts) == 0 {
-		return out, nil
-	}
-	inflight := batchInflight
-	if inflight > len(texts) {
-		inflight = len(texts)
-	}
-	sem := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, t := range texts {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, t []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r, err := m.MatchContext(gctx, t)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = r
-		}(i, t)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return matchBatch(texts, func(t []byte) (*ShardedMatches, error) {
+		return m.MatchContext(gctx, t)
+	})
 }
 
 // Len reports the text length the matches cover.
