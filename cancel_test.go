@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -337,22 +338,86 @@ func TestStreamFeedContextCanceledIsRetryable(t *testing.T) {
 			t.Fatalf("match %d at %d, want %d", i, got[i], want[i])
 		}
 	}
-}
 
-func TestStreamCarryShrinks(t *testing.T) {
-	m := cancelTestMatcher(t)
-	s := m.Stream(func(int64, int) {})
-	// One huge feed grows the carry; subsequent small feeds must not keep the
-	// huge backing array alive.
-	if err := s.Feed(cancelTestText(50000)); err != nil {
+	// A feed that stays within the hold is canceled too: the error, the bytes
+	// kept, and a retry that catches up.
+	got = got[:0]
+	s = m.Stream(func(pos int64, pat int) { got = append(got, pos) })
+	if err := s.FeedContext(gctx, []byte("ab")); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("short feed under a dead context: err = %v", err)
+	}
+	if s.Pending() != 2 || s.Offset() != 0 {
+		t.Fatalf("canceled short feed: pending %d offset %d, want 2 and 0", s.Pending(), s.Offset())
+	}
+	if err := s.FeedContext(context.Background(), []byte("racadabra")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if err := s.Feed([]byte("abracadabra")); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if c := s.ses.CarryCap(); c > 4*(m.MaxLen()+64) {
-		t.Fatalf("carry capacity %d not shrunk (hold = %d)", c, m.MaxLen()-1)
+	if fmt.Sprint(got) != "[0 2 4 7 9]" { // abracadabra, ra, cad, abra, ra
+		t.Fatalf("retried short feed emitted %v", got)
+	}
+}
+
+// cancelAfter is a context that turns canceled once Err has been asked n
+// times: a cancellation landing between two scan segments of one feed.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestStreamCanceledMidFeedRetry cancels a 1 MiB feed after ten scan
+// segments. Nothing may be emitted and the stream may not advance; the
+// retried feed must then emit exactly what an uncanceled run emits, and leave
+// no unscanned bytes behind.
+func TestStreamCanceledMidFeedRetry(t *testing.T) {
+	m := cancelTestMatcher(t)
+	type hit struct {
+		pos int64
+		pat int
+	}
+	chunk := cancelTestText(1 << 20 / 12)
+	var want, got []hit
+	sw := m.Stream(func(pos int64, pat int) { want = append(want, hit{pos, pat}) })
+	if err := sw.Feed(chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := m.Stream(func(pos int64, pat int) { got = append(got, hit{pos, pat}) })
+	err := s.FeedContext(&cancelAfter{context.Background(), 10}, chunk)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
+	}
+	if len(got) != 0 || s.Offset() != 0 || s.Pending() != len(chunk) {
+		t.Fatalf("canceled feed: %d emits, offset %d, pending %d", len(got), s.Offset(), s.Pending())
+	}
+	if err := s.FeedContext(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.ses.Unscanned() != 0 || s.Pending() != m.MaxLen()-1 {
+		t.Fatalf("after the retry: %d unscanned, %d pending", s.ses.Unscanned(), s.Pending())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("retry emitted %d matches, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("match %d: %v, want %v", i, got[i], want[i])
+		}
 	}
 }

@@ -3,9 +3,12 @@ package main
 import (
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pardict/internal/benchrow"
 )
 
 // runQuiet runs an experiment at quick size and returns what it printed.
@@ -67,5 +70,45 @@ func TestE2Quick(t *testing.T) {
 	}
 	if hi > 1.25*lo {
 		t.Fatalf("work/M not flat: %v\n%s", perM, out)
+	}
+}
+
+// TestE16Quick runs the streaming experiment at quick size and checks the
+// rows it records: every (streams, GOMAXPROCS) cell has both arms, each with
+// a positive aggregate MB/s and the same positive match total — the
+// cross-check E16's guard makes too.
+func TestE16Quick(t *testing.T) {
+	runQuiet(t, e16)
+	f := results["E16"]
+	if f == nil || !f.Machine.Quick {
+		t.Fatal("E16 recorded no quick rows")
+	}
+	procs := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		procs = append(procs, n)
+	}
+	for _, g := range procs {
+		for _, streams := range []int{32, 128} {
+			cell := benchrow.Params{"streams": streams}
+			var totals []float64
+			for _, arm := range []string{"server", "goroutines"} {
+				mbps, ok1 := f.Get(arm, cell, g, "agg_mb_per_sec")
+				n, ok2 := f.Get(arm, cell, g, "matches")
+				if !ok1 || !ok2 || !(mbps > 0) || !(n > 0) {
+					t.Fatalf("%s streams=%d g=%d: %v MB/s (%v), %v matches (%v)", arm, streams, g, mbps, ok1, n, ok2)
+				}
+				totals = append(totals, n)
+			}
+			if totals[0] != totals[1] {
+				t.Errorf("streams=%d g=%d: server %v matches, goroutines %v", streams, g, totals[0], totals[1])
+			}
+		}
+	}
+	for _, g := range guards {
+		if g.exp == "E16" {
+			for _, msg := range g.check(f, nil) {
+				t.Errorf("guard: %s", msg)
+			}
+		}
 	}
 }

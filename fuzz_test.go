@@ -127,6 +127,9 @@ func FuzzStreamChunking(f *testing.F) {
 		want := wholeTextHits(m, text)
 		var got []hit
 		s := m.Stream(func(pos int64, pat int) { got = append(got, hit{pos, pat}) })
+		if bytes.Count(splits, []byte{0}) == len(splits) {
+			splits = nil // only empty feeds would never advance; use 1-byte feeds
+		}
 		at, si := 0, 0
 		for at < len(text) {
 			sz := 1
@@ -142,10 +145,6 @@ func FuzzStreamChunking(f *testing.F) {
 				t.Fatal(err)
 			}
 			at = end
-			if sz == 0 && len(splits) == 1 {
-				// a single zero split would never advance; fall back to 1
-				splits = nil
-			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

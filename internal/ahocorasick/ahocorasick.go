@@ -15,13 +15,15 @@
 //
 // NewDFA also compiles the automaton for raw bytes, the streaming kernel:
 // bytes fold into classes, and the shallowest states get a dense row of
-// δ(v, c) — one table read per byte — filled during the failure-link pass,
-// until a byte budget is spent. Deeper states keep their sparse row and
-// failure link.
+// δ(v, c) — one 16-bit table read per byte — filled during the failure-link
+// pass, until a byte budget is spent. Deeper states keep their sparse row
+// and failure link, and so does every transition whose target id does not
+// fit in 16 bits.
 package ahocorasick
 
 import (
 	"errors"
+	"math"
 	"sort"
 
 	"pardict/internal/alpha"
@@ -56,8 +58,13 @@ type DFA struct {
 	sym   [256]int32  // byte -> symbol, for the sparse rows
 	nc    int         // classes, including class 0
 	dense int32       // states [0, dense) have a table row
-	delta []int32     // delta[v*nc+c] = δ(v, c) for v < dense
+	delta []uint16    // delta[v*nc+c] = δ(v, c) for v < dense, or escape
+	hold  int64       // longest pattern length − 1, at least 0
 }
+
+// escape marks a table entry whose target id does not fit in 16 bits: the
+// step takes the sparse path from that state instead.
+const escape = math.MaxUint16
 
 // New builds the automaton for the given patterns. Duplicate patterns keep
 // the first index (consistent with the engines rejecting duplicates; the
@@ -74,7 +81,7 @@ func New(patterns [][]int32) (*Automaton, error) {
 // for scanning the raw bytes enc encodes. Every symbol that labels an edge
 // and that some byte encodes to gets its own class; all other bytes,
 // including those outside a dense encoder's alphabet, share class 0. States
-// get dense rows of one int32 per class, shallowest first, while the table
+// get dense rows of one uint16 per class, shallowest first, while the table
 // stays within budget bytes; deeper states step through their sparse row and
 // failure link.
 func NewDFA(patterns [][]int32, enc *alpha.Encoder, budget int) (*DFA, error) {
@@ -89,14 +96,15 @@ func build(patterns [][]int32, enc *alpha.Encoder, budget int) (*DFA, error) {
 			return nil, ErrEmptyPattern
 		}
 		d.plen[i] = int32(len(p))
+		d.hold = max(d.hold, int64(len(p)-1))
 	}
 	own, parent, edgeSym := insert(patterns)
 	d.freezeEdges(parent, edgeSym)
 	var edgeClass []int32
 	if enc != nil {
 		edgeClass = d.classify(enc)
-		d.dense = int32(min(len(own), budget/(4*d.nc)))
-		d.delta = make([]int32, int(d.dense)*d.nc)
+		d.dense = int32(min(len(own), budget/(2*d.nc)))
+		d.delta = make([]uint16, int(d.dense)*d.nc)
 	}
 	d.link(own, edgeClass)
 	return d, nil
@@ -228,7 +236,8 @@ func (d *DFA) classify(enc *alpha.Encoder) []int32 {
 // in id (breadth-first) order, and fills the table rows on the way: a dense
 // state's row is its failure state's row with its own edges written over
 // it, and the failure link of its child on class c is one read of that same
-// failure row. edgeClass is nil when there is no table.
+// failure row (or a sparse step where that entry escapes). edgeClass is nil
+// when there is no table.
 func (d *DFA) link(own, edgeClass []int32) {
 	n := int32(len(own))
 	d.fail = make([]int32, n)
@@ -249,7 +258,7 @@ func (d *DFA) link(own, edgeClass []int32) {
 			d.emit[u] = p
 			d.shorter[p] = inherited
 		}
-		var row []int32
+		var row []uint16
 		if u < d.dense {
 			row = d.delta[int(u)*nc : int(u+1)*nc]
 			if u > 0 {
@@ -265,7 +274,7 @@ func (d *DFA) link(own, edgeClass []int32) {
 				d.fail[v] = d.next(f, d.syms[i], c)
 			}
 			if row != nil && c >= 0 {
-				row[c] = v
+				row[c] = uint16(min(v, escape))
 			}
 		}
 	}
@@ -273,11 +282,15 @@ func (d *DFA) link(own, edgeClass []int32) {
 
 // next returns δ(f, s), where c is s's class (-1 when no byte encodes to s):
 // one read of f's table row when it has one, and otherwise the classic walk
-// along failure links until a state with a row or an edge on s.
+// along failure links until a state with a row or an edge on s. An escaped
+// entry means δ(f, s) is a state past the 16-bit range, which is never the
+// root; a failure state's answer is then only taken where f has no edge.
 func (d *DFA) next(f, s, c int32) int32 {
 	for {
 		if f < d.dense && c >= 0 {
-			return d.delta[int(f)*d.nc+int(c)]
+			if v := d.delta[int(f)*d.nc+int(c)]; v != escape {
+				return int32(v)
+			}
 		}
 		if v := d.gotoChild(f, s); v >= 0 {
 			return v
@@ -290,35 +303,71 @@ func (d *DFA) next(f, s, c int32) int32 {
 }
 
 // TableBytes reports the size of the dense transition table.
-func (d *DFA) TableBytes() int { return 4 * len(d.delta) }
+func (d *DFA) TableBytes() int { return 2 * len(d.delta) }
 
-// Scan is the streaming kernel. It advances the automaton from state cur
-// across text, whose bytes sit at absolute stream positions base, base+1, …,
-// and returns the state that resumes a later call. The longest pattern
-// starting at position p is recorded in ring[p&mask] (mask = len(ring)-1;
-// len(ring) must be a power of two), and each slot is reset to -1 when its
-// position is scanned, before any update can target it.
+// Hold reports how many positions behind the newest scanned byte a start
+// position stays undecided: the longest pattern's length − 1 (0 without
+// patterns).
+func (d *DFA) Hold() int { return int(d.hold) }
+
+// A hit buffer holds one uint64 per finalized position that has a match:
+// the distance from the previous entry's position in the high 32 bits and
+// the longest pattern starting there in the low 32. An entry whose pattern
+// field is NoHit advances the position without a match; it bridges a gap
+// wider than 32 bits.
+const NoHit = math.MaxUint32
+
+// EachHit calls f, in order, for every match in hits, whose positions count
+// from base (the cursor's Last when the buffer was empty).
+func EachHit(hits []uint64, base int64, f func(pos int64, pattern int)) {
+	for _, h := range hits {
+		base += int64(h >> 32)
+		if p := uint32(h); p != NoHit {
+			f(base, int(p))
+		}
+	}
+}
+
+// Cursor is where a byte scan of one stream stands: State is the automaton
+// state after the bytes before stream position Pos, and Last is the
+// position the next hit's distance counts from.
+type Cursor struct {
+	State int32
+	Pos   int64
+	Last  int64
+}
+
+// Scan is the streaming kernel. It steps the automaton over text, the
+// stream's bytes at positions c.Pos, c.Pos+1, …, advances c past them, and
+// returns hits with every position finalized on the way appended. The
+// longest pattern starting at position p is kept in ring[p&mask] (mask =
+// len(ring)−1), and a slot is reset to −1 when its position is scanned,
+// before any update can target it. Position p is final once p+Hold has been
+// scanned; its slot is read then, and appended to hits if it holds a match.
 //
-// Ring-reuse contract: a slot is valid from the moment its position is
-// scanned until a younger position aliases it, so len(ring) must be at least
-// the span from the oldest position the caller still intends to read through
-// the newest position scanned. Callers must also guarantee that no match
-// starts before the oldest readable position (for a stream resumed across
-// emissions that holds whenever at least maxLen-1 trailing positions stay
-// unread between calls).
-func (d *DFA) Scan(cur int32, text []byte, base int64, ring []int32) int32 {
+// Ring contract: len(ring) is a power of two of at least Hold+1, so the
+// Hold+1 undecided positions never share a slot, and at the start of a
+// stream (state 0 at position p0) the slots of positions [p0−Hold, p0) hold
+// −1. The caller reads the undecided tail, positions [c.Pos−Hold, c.Pos), from
+// the ring when its stream ends.
+func (d *DFA) Scan(c *Cursor, text []byte, ring []int32, hits []uint64) []uint64 {
+	cur, pos, last := c.State, c.Pos, c.Last
 	mask := int64(len(ring) - 1)
 	delta, emit, shorter, plen := d.delta, d.emit, d.shorter, d.plen
-	nc, dense := d.nc, d.dense
-	for j, b := range text {
-		pos := base + int64(j)
+	nc, dense, hold := d.nc, d.dense, d.hold
+	for _, b := range text {
 		ring[pos&mask] = -1
-		if c := int(d.class[b]); cur < dense {
-			cur = delta[int(cur)*nc+c]
-		} else if c == 0 {
+		cl := int(d.class[b])
+		if cur < dense {
+			if v := delta[int(cur)*nc+cl]; v != escape {
+				cur = int32(v)
+			} else {
+				cur = d.next(cur, d.sym[b], int32(cl))
+			}
+		} else if cl == 0 {
 			cur = 0
 		} else {
-			cur = d.next(cur, d.sym[b], int32(c))
+			cur = d.next(cur, d.sym[b], int32(cl))
 		}
 		// Occurrences sharing a start are found in increasing length (their
 		// ends are scanned in order), so the last write to a slot is the
@@ -326,8 +375,18 @@ func (d *DFA) Scan(cur int32, text []byte, base int64, ring []int32) int32 {
 		for p := emit[cur]; p >= 0; p = shorter[p] {
 			ring[(pos-int64(plen[p])+1)&mask] = p
 		}
+		if q := pos - hold; ring[q&mask] >= 0 {
+			for q-last > math.MaxUint32 {
+				hits = append(hits, math.MaxUint32<<32|NoHit)
+				last += math.MaxUint32
+			}
+			hits = append(hits, uint64(q-last)<<32|uint64(ring[q&mask]))
+			last = q
+		}
+		pos++
 	}
-	return cur
+	c.State, c.Pos, c.Last = cur, pos, last
+	return hits
 }
 
 // gotoChild returns the goto target of state u on symbol s, or -1, via binary

@@ -143,9 +143,10 @@ func TestStates(t *testing.T) {
 }
 
 // TestDFAConcurrentScan has several goroutines scan one shared DFA at once,
-// each into its own ring, at budgets from none to every row, and requires
-// each ring to hold LongestMatchStarting's answer. Bytes outside the dense
-// encoder's alphabet must lead back to the root.
+// each with its own ring and hit buffer, at budgets from none to every row,
+// and requires the hits plus the ring's undecided tail to be
+// LongestMatchStarting's answer. Bytes outside the dense encoder's alphabet
+// must lead back to the root.
 func TestDFAConcurrentScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	enc, err := alpha.NewDenseEncoder([]byte("acgt"))
@@ -168,10 +169,6 @@ func TestDFAConcurrentScan(t *testing.T) {
 	for i := range text {
 		text[i] = "acgtacgtacgtN"[rng.Intn(13)]
 	}
-	ring := 1
-	for ring < len(text) {
-		ring <<= 1
-	}
 	for _, budget := range []int{0, 100, 1000, 1 << 20} {
 		d, err := NewDFA(pats, enc, budget)
 		if err != nil {
@@ -186,8 +183,7 @@ func TestDFAConcurrentScan(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got := make([]int32, ring)
-				d.Scan(0, text, 0, got)
+				got := scanLongest(d, text, 0)
 				for j := range text {
 					if got[j] != want[j] {
 						t.Errorf("budget %d pos %d: %d, want %d", budget, j, got[j], want[j])
@@ -197,5 +193,64 @@ func TestDFAConcurrentScan(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// scanLongest runs the kernel over text placed at stream position base, one
+// call per 100 bytes, and returns the longest pattern per text position: the
+// finalized hits, then the undecided tail read from the ring.
+func scanLongest(d *DFA, text []byte, base int64) []int32 {
+	size := 1
+	for size <= d.Hold() {
+		size <<= 1
+	}
+	ring := make([]int32, size)
+	for i := range ring {
+		ring[i] = -1
+	}
+	c := Cursor{Pos: base}
+	var hits []uint64
+	for at := 0; at < len(text); at += 100 {
+		hits = d.Scan(&c, text[at:min(at+100, len(text))], ring, hits)
+	}
+	out := make([]int32, len(text))
+	for i := range out {
+		out[i] = -1
+	}
+	EachHit(hits, 0, func(pos int64, p int) { out[pos-base] = int32(p) })
+	for q := c.Pos - int64(d.Hold()); q < c.Pos; q++ {
+		out[q-base] = ring[q&int64(size-1)]
+	}
+	return out
+}
+
+// TestScanHitGaps places the text past 2^33, so the first hit's distance
+// from Last = 0 overflows 32 bits and the kernel bridges it with NoHit
+// entries; every decoded position must still be exact.
+func TestScanHitGaps(t *testing.T) {
+	enc := alpha.NewByteEncoder()
+	d, err := NewDFA(encAll("abc", "bc", "c"), enc, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := []byte("xxabcxbcxc")
+	want := d.LongestMatchStarting(enc.Encode(text))
+	const base = 1<<33 + 12345
+	got := scanLongest(d, text, base)
+	for j := range text {
+		if got[j] != want[j] {
+			t.Fatalf("pos %d: %d, want %d", j, got[j], want[j])
+		}
+	}
+	c := Cursor{Pos: base}
+	ring := []int32{-1, -1, -1, -1}
+	bridges := 0
+	for _, h := range d.Scan(&c, text, ring, nil) {
+		if uint32(h) == NoHit {
+			bridges++
+		}
+	}
+	if bridges != 2 { // 2^33 + 12347 needs two maximal 32-bit steps first
+		t.Fatalf("%d NoHit entries for a gap of %d, want 2", bridges, int64(base+2))
 	}
 }

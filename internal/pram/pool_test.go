@@ -25,6 +25,46 @@ func TestPoolCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForEachSpreadsFewHeavyItems: ForEach visits each index once and
+// charges like For, and it fans even a two-item phase out to a second
+// participant, where For would run both items inline below its grain.
+func TestForEachSpreadsFewHeavyItems(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	c := NewCtx(nil, p)
+	for _, n := range []int{0, 1, 2, 3, 100} {
+		seen := make([]int32, n)
+		c.ForEach(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		for i, v := range seen {
+			if v != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, v)
+			}
+		}
+	}
+	if c.Work() != 106 || c.Depth() != 4 {
+		t.Fatalf("work=%d depth=%d, want 106 and 4", c.Work(), c.Depth())
+	}
+
+	// Each item waits for the other to start: both finish on time only if
+	// they run at once.
+	var started sync.WaitGroup
+	started.Add(2)
+	both := make(chan struct{})
+	go func() { started.Wait(); close(both) }()
+	var met atomic.Int32
+	c.ForEach(2, func(int) {
+		started.Done()
+		select {
+		case <-both:
+			met.Add(1)
+		case <-time.After(5 * time.Second):
+		}
+	})
+	if met.Load() != 2 {
+		t.Fatal("the two items of a ForEach phase did not run concurrently")
+	}
+}
+
 func TestPoolReusedAcrossPhases(t *testing.T) {
 	// Hundreds of short dependent phases on one pool — the paper's O(log m)
 	// cascade shape. Every phase must complete and the counters must add up.

@@ -205,6 +205,19 @@ func (c *Ctx) For(n int, body func(i int)) {
 	})
 }
 
+// ForEach is For for phases of few, expensive iterations: every index is its
+// own chunk, so a phase of a handful of heavy bodies spreads over every
+// participant and ends within one body of balance, where For's grain would
+// run up to a grain of them back to back on one participant.
+func (c *Ctx) ForEach(n int, body func(i int)) {
+	if n <= 0 {
+		return
+	}
+	c.work.Add(int64(n))
+	c.depth.Add(1)
+	c.forChunks("phase", n, 1, func(i, _ int) { body(i) })
+}
+
 // ForChunk runs body(lo, hi) over a partition of [0, n) as one parallel
 // phase, charging n work and 1 depth. It is the loop-blocked variant of For
 // for bodies that benefit from chunk-local state. Chunk starts are always
@@ -231,7 +244,13 @@ func (c *Ctx) ForChunkUncounted(name string, n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	grain := c.pool.grainFor(n)
+	c.forChunks(name, n, c.pool.grainFor(n), body)
+}
+
+// forChunks runs body over [0, n) in chunks of grain as one phase traced as
+// name: inline when one chunk covers it or the pool has one participant,
+// on the pool otherwise.
+func (c *Ctx) forChunks(name string, n, grain int, body func(lo, hi int)) {
 	if obs.Enabled() {
 		c.pool.phases.Add(1)
 		c.pool.grainSum.Add(int64(grain))

@@ -142,84 +142,41 @@ func TestScannedBytesIsLinear(t *testing.T) {
 	}
 }
 
-// TestShrinkCarryBoundaries pins the reallocation policy: small buffers stay
-// in place, large mostly-dead buffers are copied into right-sized ones, and
-// the surviving bytes are always exactly the unfinalized tail.
-func TestShrinkCarryBoundaries(t *testing.T) {
-	fill := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('a' + i%26)
-		}
-		return b
-	}
-
-	// Small capacity (≤ 64): reslice in place, no copy.
-	small := fill(32)
-	got := shrinkCarry(small, 10)
-	if string(got) != string(fill(32)[10:]) {
-		t.Fatalf("small: wrong tail %q", got)
-	}
-	if &got[0] != &small[0] {
-		t.Fatalf("small carry was reallocated")
-	}
-
-	// Large buffer, live tail > cap/4: still in place.
-	large := fill(1024)
-	got = shrinkCarry(large, 100) // rem = 924 > 256
-	if len(got) != 924 || &got[0] != &large[0] {
-		t.Fatalf("large mostly-live carry should shrink in place")
-	}
-
-	// Large buffer, tiny live tail: reallocated and right-sized.
-	large = fill(1024)
-	got = shrinkCarry(large, 1000) // rem = 24 < 256
-	if string(got) != string(fill(1024)[1000:]) {
-		t.Fatalf("realloc: wrong tail %q", got)
-	}
-	if cap(got) > 64 {
-		t.Fatalf("realloc kept %d cap for 24 live bytes", cap(got))
-	}
-
-	// Everything finalized: empty result, any representation.
-	if got = shrinkCarry(fill(128), 128); len(got) != 0 {
-		t.Fatalf("full finalize left %d bytes", len(got))
-	}
-	// Nothing finalized: unchanged.
-	b := fill(16)
-	if got = shrinkCarry(b, 0); string(got) != string(fill(16)) {
-		t.Fatalf("zero finalize changed carry")
-	}
-}
-
-// TestSessionBuffersShrink pins shrinkCarry/shrinkRing at the session
-// boundary: a single huge feed grows carry and ring to cover its span; a few
-// steady-state feeds later both are back near the hold-back footprint.
-func TestSessionBuffersShrink(t *testing.T) {
+// TestSessionDrainKeepsOnlyRing feeds 1 MiB in one chunk. While it is
+// scanned the session holds the unscanned bytes and 8 bytes per hit (within
+// the append's growth slack); once the feed is emitted it holds only its
+// MaxLen-sized ring — no carry and no hit buffer.
+func TestSessionDrainKeepsOnlyRing(t *testing.T) {
 	c := mustCore(t, "abracadabra", "cad")
 	s := c.NewSession()
-	emit := func(int64, int) {}
-
-	huge := make([]byte, 1<<18)
+	huge := make([]byte, 1<<20)
 	for i := range huge {
 		huge[i] = "abracadabra."[i%12]
 	}
 	s.Buffer(huge)
+	if len(s.carry) != len(huge) || cap(s.carry) > 2*len(huge) {
+		t.Fatalf("carry len %d cap %d for a %d-byte feed", len(s.carry), cap(s.carry), len(huge))
+	}
 	s.Scan(0)
-	if s.RingLen() < 1<<18 {
-		t.Fatalf("ring %d never grew to cover a %d-byte span", s.RingLen(), len(huge))
+	if s.carry != nil {
+		t.Fatalf("scanned carry kept: cap %d", cap(s.carry))
 	}
-	s.EmitFinal(emit)
-	for i := 0; i < 4; i++ {
-		s.Buffer([]byte("abracadabra"))
-		s.Scan(0)
-		s.EmitFinal(emit)
+	if len(s.hits) == 0 || cap(s.hits) > 2*len(s.hits) {
+		t.Fatalf("hit buffer len %d cap %d", len(s.hits), cap(s.hits))
 	}
-	if cp := s.CarryCap(); cp > 4*(c.MaxLen()+64) {
-		t.Fatalf("carry capacity %d not shrunk (hold = %d)", cp, c.Hold())
+	var n int
+	s.EmitFinal(func(int64, int) { n++ })
+	if want := 2 * len(huge) / 12; n < want-1 || n > want {
+		t.Fatalf("%d hits emitted, want about %d", n, want)
 	}
-	if rl := s.RingLen(); rl > 4*pow2ceil(c.MaxLen()+64) {
-		t.Fatalf("ring %d not shrunk (floor %d)", rl, c.ringFloor)
+	if s.carry != nil || s.hits != nil {
+		t.Fatalf("drained session holds carry cap %d and hits cap %d", cap(s.carry), cap(s.hits))
+	}
+	if len(s.ring) != 16 || cap(s.ring) != 16 { // pow2 ≥ MaxLen 11
+		t.Fatalf("ring len %d cap %d, want 16", len(s.ring), cap(s.ring))
+	}
+	if s.Pending() != c.dfa.Hold() {
+		t.Fatalf("pending %d, want the hold %d", s.Pending(), c.dfa.Hold())
 	}
 }
 
@@ -238,7 +195,7 @@ func TestPartialScanKeepsEmitConservative(t *testing.T) {
 	s.Buffer(text)
 	s.Scan(5) // partial: automaton stops mid-buffer
 	n1 := s.EmitFinal(emit)
-	if wantFin := 5 - c.Hold(); n1 != wantFin {
+	if wantFin := 5 - c.dfa.Hold(); n1 != wantFin {
 		t.Fatalf("partial scan finalized %d, want %d", n1, wantFin)
 	}
 	for s.Unscanned() > 0 {
@@ -274,6 +231,21 @@ func TestFlushThenContinue(t *testing.T) {
 	if !sameSC(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
+
+	// A match in the flushed tail ("c" at 4) is emitted once: the next
+	// stream's first reads land on the tail's ring slots.
+	c = mustCore(t, "abc", "c")
+	s = c.NewSession()
+	got = got[:0]
+	for _, chunk := range []string{"xxabc", "zzzz"} {
+		s.Buffer([]byte(chunk))
+		s.Scan(0)
+		s.EmitFinal(emit)
+		s.Flush(emit)
+	}
+	if want := []scHit{{2, 0}, {4, 1}}; !sameSC(got, want) {
+		t.Fatalf("tail match: got %v want %v", got, want)
+	}
 }
 
 // TestEmptyDictionary: a zero-pattern core never emits and never holds bytes.
@@ -283,8 +255,8 @@ func TestEmptyDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Hold() != 0 {
-		t.Fatalf("hold = %d", c.Hold())
+	if c.dfa.Hold() != 0 {
+		t.Fatalf("hold = %d", c.dfa.Hold())
 	}
 	s := c.NewSession()
 	s.Buffer([]byte("anything"))
@@ -390,6 +362,19 @@ func tableCases(t *testing.T, rng *rand.Rand) []tableCase {
 	}
 	periodic = append(periodic, []byte("aca"), []byte("cac"), []byte("gac"))
 	cases = append(cases, tableCase{"periodic-σ4", dense("acgt"), periodic, text("acgt", foreign, periodic, 6000)})
+
+	// About 75,000 states: at the production budget every state has a row,
+	// and the entries of the rows whose targets pass 16 bits escape to the
+	// sparse step. MaxLen 33 makes the hold a power of two, so a ring one
+	// slot short of MaxLen would alias.
+	var deep [][]byte
+	for len(deep) < 4000 {
+		if p := word("ab", 24+rng.Intn(10)); !seen[string(p)] {
+			seen[string(p)] = true
+			deep = append(deep, p)
+		}
+	}
+	cases = append(cases, tableCase{"deep-σ2", dense("ab"), deep, text("ab", foreign, deep, 6000)})
 	return cases
 }
 
@@ -398,7 +383,8 @@ func tableCases(t *testing.T, rng *rand.Rand) []tableCase {
 // sparse) and at zero (no rows at all), under random chunkings and segment
 // limits, against LongestMatchStarting of a separately built automaton fed
 // the encoded text, itself checked against brute force. The table must never
-// exceed its budget.
+// exceed its budget. The deep-σ2 dictionary has more states than a 16-bit
+// entry can name, so its table escapes to the sparse step.
 func TestTableScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, tc := range tableCases(t, rng) {
@@ -433,6 +419,9 @@ func TestTableScanMatchesOracle(t *testing.T) {
 		prod, err := newCore(encoded, tc.enc, tableBudget)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.name == "deep-σ2" && prod.dfa.States() <= 65535 {
+			t.Fatalf("%s: %d states do not pass the 16-bit range", tc.name, prod.dfa.States())
 		}
 		for _, budget := range []int{tableBudget, prod.dfa.TableBytes() / 8, 0} {
 			c, err := newCore(encoded, tc.enc, budget)

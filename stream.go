@@ -18,7 +18,8 @@ import (
 // Each byte is scanned exactly once regardless of chunking: the matcher
 // resumes its automaton from the saved state at the carry boundary, so
 // feeding byte-by-byte costs O(1) amortized per byte (it does not re-match
-// the hold-back region on every Feed). Per-stream state is O(carry).
+// the hold-back region on every Feed). Per-stream state is O(MaxLen) between
+// feeds; a feed borrows pooled scratch for its unscanned bytes and hits.
 //
 // A StreamMatcher is single-stream state; use one per stream (the underlying
 // Matcher is shared and immutable). Not safe for concurrent use — for many
@@ -58,16 +59,6 @@ func (s *StreamMatcher) FeedContext(gctx context.Context, chunk []byte) error {
 		return io.ErrClosedPipe
 	}
 	s.ses.Buffer(chunk)
-	if s.ses.Pending() <= s.ses.Hold() {
-		// Nothing can finalize yet. Scan eagerly all the same — keeping the
-		// automaton caught up is what makes every Feed O(chunk) — but only
-		// under a live context, so a canceled feed stays the documented
-		// no-op with its bytes retained.
-		if gctx == nil || gctx.Err() == nil {
-			s.ses.Scan(0)
-		}
-		return nil
-	}
 	if err := s.scan(gctx); err != nil {
 		return err
 	}

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// The shrinkCarry reallocation-policy pins live with the implementation in
-// internal/streamcore (TestShrinkCarryBoundaries there); here the policy is
-// asserted at the public session boundary by TestStreamCarryShrinks
-// (cancel_test.go) and TestStreamTinyChunkWorkIsLinear (stream_bench_test.go).
+// The session's memory pins live with the implementation in
+// internal/streamcore (TestSessionDrainKeepsOnlyRing and
+// TestSessionZeroAllocs there); at the public session boundary
+// TestStreamCanceledMidFeedRetry (cancel_test.go) and
+// TestStreamTinyChunkWorkIsLinear (stream_bench_test.go) assert them.
 
 // errAfterReader yields its payload in tiny reads, then a non-EOF error.
 type errAfterReader struct {

@@ -73,7 +73,7 @@ func WithStreamBatch(n int) StreamServerOption {
 // of every Feed scheduling its own work, a single dispatcher coalesces the
 // ready chunks of all streams into batched parallel phases on the matcher's
 // scheduler pool — one pool entry per batch, not per Feed. That keeps
-// thousands of mostly-idle streams cheap: per-stream cost is O(carry) state
+// thousands of mostly-idle streams cheap: per-stream cost is O(MaxLen) state
 // plus a queue, and scan work is amortized across whole batches.
 //
 // Ordering: chunks of one stream are scanned and emitted in FIFO order;
@@ -308,8 +308,11 @@ func (srv *StreamServer) markReady(st *ServerStream) {
 // stream, run one batched parallel phase over them on the shared pool, and
 // repeat. Chunks that arrive while a phase runs accumulate and form the next
 // batch — natural coalescing under load, immediate tiny phases when idle.
-// After Close is requested the loop keeps going until the ready list is
-// empty (queued work is drained), then exits.
+// Each stream is its own chunk of the phase (a stream's share is a scan of
+// up to a batch budget of bytes, far above a chunk claim), so a batch of
+// any size spreads over every participant and ends within one stream's
+// scan of balance. After Close is requested the loop keeps going until the
+// ready list is empty (queued work is drained), then exits.
 func (srv *StreamServer) dispatch() {
 	defer close(srv.done)
 	for {
@@ -339,7 +342,7 @@ func (srv *StreamServer) dispatch() {
 		tr.SetArg(int64(len(batch)))
 		ctx := pram.GetCtx(srv.pool)
 		ctx.SetTrace(tr)
-		ctx.For(len(batch), func(i int) { batch[i].process(tr) })
+		ctx.ForEach(len(batch), func(i int) { batch[i].process(tr) })
 		pram.PutCtx(ctx)
 		tr.Finish()
 	}
@@ -385,6 +388,10 @@ func (st *ServerStream) process(tr *trace.T) {
 			srv.latency.Observe(time.Now().UnixNano() - c.stamp)
 		}
 	}
+	// The queue's backing array outlives this call (st.queue is a suffix of
+	// it, and a zero-capacity suffix still points at its start), so drop the
+	// scanned copies: an idle stream must not pin its last chunk.
+	clear(take)
 	if k > 0 {
 		srv.chunks.Add(int64(k))
 		srv.batchBytes.Add(int64(taken))

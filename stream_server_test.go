@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -321,6 +322,108 @@ func TestStreamServerCloseSemantics(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestStreamServerIdleStreamPinsNoChunk: once a stream's chunks are scanned,
+// the server keeps none of their queued copies, so an idle open stream holds
+// its session and nothing of what it was fed.
+func TestStreamServerIdleStreamPinsNoChunk(t *testing.T) {
+	m := streamServerMatcher(t)
+	srv := m.NewStreamServer()
+	defer srv.Close()
+	const streams, size = 16, 1 << 20
+	chunk := bytes.Repeat([]byte("abracadabra boundary "), size/21)
+	sts := make([]*ServerStream, streams)
+	for i := range sts {
+		st, err := srv.Open(func(int64, int) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts[i] = st
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for _, st := range sts {
+		if err := st.Feed(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().Chunks < streams {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d chunks scanned", srv.Stats().Chunks, streams)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if grown := heap() - before; grown > streams*size/2 {
+		t.Fatalf("%d idle streams hold %d bytes after scanning %d-byte chunks", streams, grown, len(chunk))
+	}
+	runtime.KeepAlive(sts)
+}
+
+// TestStreamServerBatchSpreadsOverPool: the streams of one batch are scanned
+// on every participant of the pool, however few they are. Two streams are
+// queued behind a gated one so they form one batch, and each one's emit
+// waits for the other's to start: both finish on time only if the batch ran
+// them at once.
+func TestStreamServerBatchSpreadsOverPool(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	m, err := NewMatcher([][]byte{[]byte("ab")}, WithPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := m.NewStreamServer()
+	defer srv.Close()
+
+	gate, gated := make(chan struct{}), make(chan struct{})
+	g, err := srv.Open(func(int64, int) {
+		close(gated)
+		<-gate
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Feed([]byte("ab.")); err != nil {
+		t.Fatal(err)
+	}
+	<-gated // the dispatcher is inside g's batch
+
+	var started sync.WaitGroup
+	started.Add(2)
+	both := make(chan struct{})
+	go func() { started.Wait(); close(both) }()
+	var met sync.WaitGroup
+	met.Add(2)
+	concurrent := make([]bool, 2)
+	for i := range concurrent {
+		st, err := srv.Open(func(int64, int) {
+			started.Done()
+			select {
+			case <-both:
+				concurrent[i] = true
+			case <-time.After(5 * time.Second):
+			}
+			met.Done()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Feed([]byte("ab.")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	met.Wait()
+	if !concurrent[0] || !concurrent[1] {
+		t.Fatalf("the two streams of one batch ran one after the other: %v", concurrent)
 	}
 }
 
