@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -34,30 +35,40 @@ func runQuiet(t *testing.T, exp func()) string {
 	return <-printed
 }
 
+// tableRows returns the printed table rows that have exactly width fields,
+// every one a number, in order. Headers and notes have words in them.
+func tableRows(out string, width int) [][]float64 {
+	var rows [][]float64
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != width {
+			continue
+		}
+		v := make([]float64, width)
+		for i, s := range f {
+			x, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				v = nil
+				break
+			}
+			v[i] = x
+		}
+		if v != nil {
+			rows = append(rows, v)
+		}
+	}
+	return rows
+}
+
 // TestE2Quick runs the Theorem 3 experiment at quick size and checks its
 // table: one row per M, counted work/M flat within 25% as M grows 16-fold,
 // and a positive wall clock at one and two processors.
 func TestE2Quick(t *testing.T) {
 	out := runQuiet(t, e2)
 	var perM []float64
-	for _, line := range strings.Split(out, "\n") {
-		f := strings.Fields(line)
-		if len(f) != 8 {
-			continue
-		}
-		if _, err := strconv.Atoi(f[0]); err != nil {
-			continue // the header
-		}
-		var v [8]float64
-		for i, s := range f {
-			x, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				t.Fatalf("row %q: field %q: %v", line, s, err)
-			}
-			v[i] = x
-		}
+	for _, v := range tableRows(out, 8) {
 		if v[5] <= 0 || v[6] <= 0 || v[7] <= 0 {
-			t.Fatalf("row %q: wall clock columns must be positive", line)
+			t.Fatalf("row %v: wall clock columns must be positive", v)
 		}
 		perM = append(perM, v[3])
 	}
@@ -70,6 +81,56 @@ func TestE2Quick(t *testing.T) {
 	}
 	if hi > 1.25*lo {
 		t.Fatalf("work/M not flat: %v\n%s", perM, out)
+	}
+}
+
+// TestE4Quick runs the Theorem 4 experiment at quick size and checks its
+// table, one row per L: text work/n falls and preprocessing work/M rises
+// with each larger L.
+func TestE4Quick(t *testing.T) {
+	out := runQuiet(t, e4)
+	rows := tableRows(out, 4)
+	if len(rows) != 6 {
+		t.Fatalf("want 6 rows, got %d:\n%s", len(rows), out)
+	}
+	for i := 1; i < len(rows); i++ {
+		prev, cur := rows[i-1], rows[i]
+		if !(cur[1] < prev[1]) || !(cur[3] > prev[3]) {
+			t.Errorf("L=%v -> L=%v: work/n %v -> %v, preproc work/M %v -> %v; want falling, rising",
+				prev[0], cur[0], prev[1], cur[1], prev[3], cur[3])
+		}
+	}
+}
+
+// TestE5Quick runs the Theorem 6 experiment at quick size and checks both
+// tables, one row per m: work/n and depth rise by 2 per doubling of m at
+// d = 2 and d = 3, and at d = 3 work/n reads 2·log2(m)+2.
+func TestE5Quick(t *testing.T) {
+	out := runQuiet(t, e5)
+	// d = 2 rows: m, work/n, w/n/log2m, depth, equal-size w/n; d = 3 rows
+	// drop the last column.
+	for _, tc := range []struct {
+		dim, width, rows int
+	}{{2, 5, 4}, {3, 4, 3}} {
+		rows := tableRows(out, tc.width)
+		if len(rows) != tc.rows {
+			t.Fatalf("d=%d: want %d rows, got %d:\n%s", tc.dim, tc.rows, len(rows), out)
+		}
+		for i, v := range rows {
+			if tc.dim == 3 {
+				if want := 2*math.Log2(v[0]) + 2; math.Abs(v[1]-want) > 0.01 {
+					t.Errorf("d=3 m=%v: work/n %v, want 2·log2(m)+2 = %v", v[0], v[1], want)
+				}
+			}
+			if i == 0 {
+				continue
+			}
+			prev := rows[i-1]
+			if v[0] != 2*prev[0] || math.Abs(v[1]-prev[1]-2) > 0.05 || v[3] != prev[3]+2 {
+				t.Errorf("d=%d m=%v -> %v: work/n %v -> %v, depth %v -> %v; want +2 each",
+					tc.dim, prev[0], v[0], prev[1], v[1], prev[3], v[3])
+			}
+		}
 	}
 }
 

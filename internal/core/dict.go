@@ -132,10 +132,6 @@ func (d *Dict) Filtered() (bool, float64) {
 	return true, d.filter.EstimatedPassRate()
 }
 
-// FilterWide reports whether the installed prefilter uses the wide-lane
-// kernel.
-func (d *Dict) FilterWide() bool { return d.filter != nil && d.filterWide }
-
 // PatternCount reports the number of patterns.
 func (d *Dict) PatternCount() int { return len(d.patterns) }
 

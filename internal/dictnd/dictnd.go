@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pardict/internal/flathash"
 	"pardict/internal/naming"
 	"pardict/internal/pram"
 )
@@ -110,30 +111,25 @@ type cube struct {
 
 // namer hands out the names 0, 1, 2, … to pairs in first-seen order.
 type namer struct {
-	t    *naming.Table
-	next int32
-}
-
-func newNamers(c *pram.Ctx, k int) []namer {
-	ns := make([]namer, k)
-	for i := range ns {
-		ns[i].t = naming.NewTable(c)
-	}
-	return ns
+	seen flathash.Map[int32]
 }
 
 func (n *namer) name(a, b int32) int32 {
-	got, ins := n.t.PutIfAbsent(naming.EncodePair(a, b), n.next)
-	if ins {
-		n.next++
-	}
+	got, _ := n.seen.PutIfAbsent(naming.EncodePair(a, b), int32(n.seen.Len()))
 	return got
 }
 
+// freeze builds each namer's table, pair -> name.
 func freeze(c *pram.Ctx, ns []namer) []*naming.Frozen {
 	fs := make([]*naming.Frozen, len(ns))
 	for i := range ns {
-		fs[i] = naming.Freeze(c, ns[i].t)
+		keys := make([]uint64, ns[i].seen.Len())
+		vals := make([]int32, len(keys))
+		ns[i].seen.Range(func(k uint64, v int32) bool {
+			keys[v], vals[v] = k, v
+			return true
+		})
+		fs[i] = naming.FreezeKeys(c, keys, vals, len(keys))
 	}
 	return fs
 }
@@ -304,7 +300,7 @@ func (d *Dict) buildLevel(c *pram.Ctx, sElems []*cube) (*level, []*cube) {
 // one chain table per axis, so equal (content, side) ⇒ equal name across
 // elements and variants.
 func (d *Dict) namePrefixes(c *pram.Ctx, lv *level, all []*cube) {
-	ns := newNamers(c, d.dim)
+	ns := make([]namer, d.dim)
 	var work int64
 	for _, e := range all {
 		s := e.side
@@ -335,7 +331,7 @@ func (d *Dict) namePrefixes(c *pram.Ctx, lv *level, all []*cube) {
 		e.pn = cur
 		work += int64(d.dim) * int64(len(e.cells))
 	}
-	lv.sideOf = make([]int32, ns[d.dim-1].next)
+	lv.sideOf = make([]int32, ns[d.dim-1].seen.Len())
 	for _, e := range all {
 		for p, name := range e.pn {
 			lv.sideOf[name] = int32(p + 1)
@@ -345,19 +341,27 @@ func (d *Dict) namePrefixes(c *pram.Ctx, lv *level, all []*cube) {
 	c.AddDepth(int64(log2i(maxSideOf(all)) + 1))
 }
 
-// buildTrunc fills trunc[(δ(e,b), a)] = δ(e,a) for a < b.
+// buildTrunc fills trunc[(δ(e,b), a)] = δ(e,a) for a < b. A name fixes
+// its content, so the first element carrying a name emits all its entries.
 func buildTrunc(c *pram.Ctx, lv *level, all []*cube) {
-	tbl := naming.NewTable(c)
+	done := make([]bool, len(lv.sideOf))
+	var keys []uint64
+	var vals []int32
 	var work int64
 	for _, e := range all {
 		for b := 2; b <= e.side; b++ {
+			if done[e.pn[b-1]] {
+				continue
+			}
+			done[e.pn[b-1]] = true
 			for a := 1; a < b; a++ {
-				tbl.PutIfAbsent(naming.EncodePair(e.pn[b-1], int32(a)), e.pn[a-1])
+				keys = append(keys, naming.EncodePair(e.pn[b-1], int32(a)))
+				vals = append(vals, e.pn[a-1])
 			}
 		}
 		work += int64(e.side * e.side)
 	}
-	lv.trunc = naming.Freeze(c, tbl)
+	lv.trunc = naming.FreezeKeys(c, keys, vals, len(keys))
 	c.AddWork(work)
 	c.AddDepth(1)
 }
@@ -393,10 +397,14 @@ func buildLpS(c *pram.Ctx, lv *level, all []*cube) {
 // buildCandidates stages, per S element and odd side 2i+1, the namestamp of
 // its 2^d−1 side-2i pieces (Empty when i = 0) and far-corner symbol -> name
 // of the (2i+1)-side S-prefix. An element's variants follow the S elements
-// in `all`, in the order buildLevel appended them.
+// in `all`, in the order buildLevel appended them. The prefix's content
+// fixes the pieces and the corner, so the last table takes one entry per
+// prefix name.
 func (d *Dict) buildCandidates(c *pram.Ctx, lv *level, sElems, all []*cube) {
-	ns := newNamers(c, 1<<d.dim-2)
-	last := naming.NewTable(c)
+	ns := make([]namer, 1<<d.dim-2)
+	done := make([]bool, len(lv.sideOf))
+	var lastKeys []uint64
+	var lastVals []int32
 	vi := len(sElems)
 	var work int64
 	for _, e := range sElems {
@@ -419,11 +427,15 @@ func (d *Dict) buildCandidates(c *pram.Ctx, lv *level, sElems, all []*cube) {
 				}
 				stamp = ns[t].name(stamp, piece)
 			}
-			last.PutIfAbsent(naming.EncodePair(stamp, e.cells[(l-1)*diag]), e.pn[l-1])
+			if name := e.pn[l-1]; !done[name] {
+				done[name] = true
+				lastKeys = append(lastKeys, naming.EncodePair(stamp, e.cells[(l-1)*diag]))
+				lastVals = append(lastVals, name)
+			}
 			work += int64(len(ns) + 1)
 		}
 	}
-	lv.cand = append(freeze(c, ns), naming.Freeze(c, last))
+	lv.cand = append(freeze(c, ns), naming.FreezeKeys(c, lastKeys, lastVals, len(lastKeys)))
 	c.AddWork(work)
 	c.AddDepth(1)
 }
@@ -431,7 +443,7 @@ func (d *Dict) buildCandidates(c *pram.Ctx, lv *level, sElems, all []*cube) {
 // shrink names the disjoint side-2 blocks of every S' element and returns
 // the shrunk S_{k+1} elements, deferring mapUp.
 func (d *Dict) shrink(c *pram.Ctx, lv *level, all []*cube) []*cube {
-	ns := newNamers(c, d.dim)
+	ns := make([]namer, d.dim)
 	v := make([]int32, 1<<d.dim)
 	var next, src []*cube
 	var work int64

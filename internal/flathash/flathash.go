@@ -13,9 +13,8 @@
 // constant factor of the whole matcher (EXPERIMENTS.md E15).
 //
 // Tables support single-writer mutation with concurrent-reader safety only
-// while no writer is active — exactly the contract naming.Table documented
-// for its map shards. Growth rehashes in place of the old arrays, so readers
-// must not overlap writers.
+// while no writer is active. Growth rehashes in place of the old arrays, so
+// readers must not overlap writers.
 package flathash
 
 // fib64 is the Fibonacci multiplier 2^64/φ used to spread uint64 keys; the
@@ -229,24 +228,4 @@ func (m *Map[V]) Range(f func(k uint64, v V) bool) {
 			return
 		}
 	}
-}
-
-// MaxProbe returns the longest probe distance (in slots) of any resident
-// entry — the distance linear probing walks from the entry's home slot to
-// where it actually lives. It scans the whole table; a diagnostic for tests
-// and for validating hash quality, not a hot-path call.
-func (m *Map[V]) MaxProbe() int {
-	max := 0
-	size := uint64(len(m.fps))
-	for i, f := range m.fps {
-		if f == 0 {
-			continue
-		}
-		home := (m.keys[i] * fib64) >> m.shift
-		d := int((uint64(i) - home + size) & m.mask)
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

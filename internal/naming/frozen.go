@@ -3,20 +3,21 @@ package naming
 import "pardict/internal/pram"
 
 // fib64 is the Fibonacci multiplier 2^64/φ spreading uint64 keys across
-// Frozen's slots (the same constant flathash uses; Frozen never double-hashes
-// with it the way the sharded Table must avoid — see shardMul).
+// Frozen's slots (the same constant flathash uses).
 const fib64 = 0x9E3779B97F4A7C15
 
-// Frozen is an immutable open-addressing table, built once during
-// preprocessing (by FreezeKeys, or by Freeze from a growable Table) and used
-// on the matching hot path: a linear-probed power-of-two layout of three
-// flat arrays — an 8-bit fingerprint array probed first, then parallel key
-// and value arrays. The fingerprint byte settles most probes (hit or miss)
+// Frozen is the namestamping table of §3.2: an immutable open-addressing
+// map from elements (encoded as uint64 keys) to stamps, built once during
+// preprocessing by FreezeKeys and used on the matching hot path. It
+// substitutes for the paper's O(M²) stamp tables with linear space and O(1)
+// expected lookups: a linear-probed power-of-two layout of three flat
+// arrays — an 8-bit fingerprint array probed first, then parallel key and
+// value arrays. The fingerprint byte settles most probes (hit or miss)
 // inside one cache line of the fps array before the 8-byte key is ever
 // touched, which is what makes the per-level lookups of the cascade
-// cache-resident (EXPERIMENTS.md E15 measures the difference against the
-// map-backed Table). Any value except None may be stored (None is what
-// Lookup returns for absent keys).
+// cache-resident (EXPERIMENTS.md E15 measures the difference against Go
+// maps). Any value except None may be stored (None is what Lookup returns
+// for absent keys).
 type Frozen struct {
 	fps   []uint8 // 0 = empty slot; otherwise a nonzero hash fingerprint
 	keys  []uint64
@@ -79,29 +80,15 @@ func (f *Frozen) putIfAbsent(k uint64, v int32) {
 	f.n++
 }
 
-// Freeze builds the open-addressing view of a growable table. No value in t
-// may equal None.
-func Freeze(c *pram.Ctx, t *Table) *Frozen {
-	f := newFrozen(t.Len())
-	t.Range(func(k uint64, v int32) bool {
-		f.putIfAbsent(k, v)
-		return true
-	})
-	if c != nil {
-		c.AddWork(int64(f.n))
-		c.AddDepth(1)
-	}
-	return f
-}
-
 // FreezeKeys builds the frozen table mapping keys[i] -> vals[i] straight into
-// its open-addressed arrays, with no growable Table in between. distinct is
-// the number of distinct keys — the naming pass that produced the keys
-// returns it — or an upper bound on it; with the exact count the capacity is
-// Freeze's, so hot-path probe lengths are the same. When a key repeats, the
-// smallest index wins, making the build deterministic (the paper's
-// arbitrary-CRCW write resolved canonically). No value may equal None. It
-// charges the PRAM fill, one processor per tuple: len(keys) work, depth 1.
+// its open-addressed arrays; it is the only way to build one. distinct is the
+// number of distinct keys — the naming pass that produced the keys returns
+// it — or an upper bound on it; the capacity is the least power of two at
+// least 2·distinct (and at least 8), so with the exact count a full table is
+// at most half occupied. When a key repeats, the smallest index wins, making
+// the build deterministic (the paper's arbitrary-CRCW write resolved
+// canonically). No value may equal None. It charges the PRAM fill, one
+// processor per tuple: len(keys) work, depth 1 (nothing for no keys).
 func FreezeKeys(c *pram.Ctx, keys []uint64, vals []int32, distinct int) *Frozen {
 	f := newFrozen(distinct)
 	for i, k := range keys {

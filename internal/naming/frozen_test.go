@@ -27,14 +27,14 @@ func keysWithHome(t *testing.T, shift uint, want uint64, n int) []uint64 {
 	return out
 }
 
+// freezeOf builds the table keys[i] -> i+1 for distinct keys.
 func freezeOf(t *testing.T, keys []uint64) *Frozen {
 	t.Helper()
-	c := pram.New(1)
-	tb := NewTable(c)
-	for i, k := range keys {
-		tb.Put(k, int32(i+1))
+	vals := make([]int32, len(keys))
+	for i := range vals {
+		vals[i] = int32(i + 1)
 	}
-	return Freeze(c, tb)
+	return FreezeKeys(pram.New(1), keys, vals, len(keys))
 }
 
 // TestFrozenCollisionCluster stores several keys that all home to the same
@@ -121,21 +121,19 @@ func TestFrozenFingerprintAliasing(t *testing.T) {
 // including misses that must traverse long runs.
 func TestFrozenFullTableProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := pram.New(1)
-	tb := NewTable(c)
 	keys := map[uint64]int32{}
+	var order []uint64
 	for len(keys) < 1024 {
 		k := rng.Uint64()
 		if _, dup := keys[k]; dup {
 			continue
 		}
-		v := int32(len(keys) + 1)
-		keys[k] = v
-		tb.Put(k, v)
+		keys[k] = int32(len(keys) + 1)
+		order = append(order, k)
 	}
-	f := Freeze(c, tb)
-	if f.Len() != 1024 {
-		t.Fatalf("len = %d", f.Len())
+	f := freezeOf(t, order)
+	if f.Len() != 1024 || len(f.fps) != 2048 {
+		t.Fatalf("len = %d, capacity %d", f.Len(), len(f.fps))
 	}
 	for k, want := range keys {
 		if got, ok := f.Get(k); !ok || got != want {
@@ -154,17 +152,16 @@ func TestFrozenFullTableProbe(t *testing.T) {
 }
 
 // FuzzFrozenVsMap asserts frozen lookups are identical to map lookups on
-// arbitrary key sets (the frozen-table oracle of the PR checklist).
+// arbitrary key sets, repeated keys included (the first value wins in both).
 func FuzzFrozenVsMap(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := pram.New(1)
-		tb := NewTable(c)
 		oracle := map[uint64]int32{}
-		// First half of the bytes define inserted keys (clustered into a
-		// small space so collisions are common), second half define probes.
-		var probes []uint64
+		// Even-led triples insert keys (clustered into a small space so
+		// collisions are common), odd-led ones probe.
+		var keys, probes []uint64
+		var vals []int32
 		for i := 0; i+2 < len(data); i += 3 {
 			var kb [8]byte
 			copy(kb[:], data[i:i+3])
@@ -173,13 +170,14 @@ func FuzzFrozenVsMap(f *testing.F) {
 				v := int32(data[i+1]) + 1 // never None
 				if _, dup := oracle[k]; !dup {
 					oracle[k] = v
-					tb.Put(k, v)
 				}
+				keys = append(keys, k)
+				vals = append(vals, v)
 			} else {
 				probes = append(probes, k)
 			}
 		}
-		fz := Freeze(c, tb)
+		fz := FreezeKeys(pram.New(1), keys, vals, len(oracle))
 		if fz.Len() != len(oracle) {
 			t.Fatalf("frozen len %d, oracle %d", fz.Len(), len(oracle))
 		}
@@ -188,10 +186,6 @@ func FuzzFrozenVsMap(f *testing.F) {
 			want, wok := oracle[k]
 			if gok != wok || (gok && got != want) {
 				t.Fatalf("Get(%d): frozen (%d,%v), map (%d,%v)", k, got, gok, want, wok)
-			}
-			tv, tok := tb.Get(k)
-			if tok != gok || (tok && tv != got) {
-				t.Fatalf("Get(%d): table (%d,%v) disagrees with frozen (%d,%v)", k, tv, tok, got, gok)
 			}
 		}
 		for k := range oracle {

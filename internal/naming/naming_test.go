@@ -102,34 +102,6 @@ func TestBatchNameEmpty(t *testing.T) {
 	}
 }
 
-func TestTableBasic(t *testing.T) {
-	c := pram.New(0)
-	tb := NewTable(c)
-	if _, ok := tb.Get(5); ok {
-		t.Fatal("empty table Get must miss")
-	}
-	tb.Put(5, 50)
-	if v, ok := tb.Get(5); !ok || v != 50 {
-		t.Fatal("put/get failed")
-	}
-	if v := tb.Lookup(6); v != None {
-		t.Fatalf("lookup miss = %d, want None", v)
-	}
-	if v, ins := tb.PutIfAbsent(5, 99); ins || v != 50 {
-		t.Fatal("PutIfAbsent must keep resident value")
-	}
-	if v, ins := tb.PutIfAbsent(6, 60); !ins || v != 60 {
-		t.Fatal("PutIfAbsent must insert when absent")
-	}
-	if tb.Len() != 2 {
-		t.Fatalf("len = %d", tb.Len())
-	}
-	tb.Delete(5)
-	if _, ok := tb.Get(5); ok {
-		t.Fatal("delete failed")
-	}
-}
-
 // TestBuildTableFirstWins: FreezeKeys keeps the value of a key's first
 // occurrence, as the arbitrary-CRCW write resolved canonically.
 func TestBuildTableFirstWins(t *testing.T) {
@@ -170,8 +142,8 @@ func TestBuildTableLarge(t *testing.T) {
 // TestFreezeKeysVsMap checks the direct fill against a Go map built with the
 // same first-wins rule, on key sets with heavy repetition: every key maps to
 // its first value, absent keys return None, Len is the distinct count, and
-// the capacity equals Freeze's for the same entries. An upper bound on the
-// distinct count still gives a correct table.
+// the capacity is the least power of two at least 2·distinct (and at least
+// 8). An upper bound on the distinct count still gives a correct table.
 func TestFreezeKeysVsMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 7, 100, 5000} {
@@ -202,12 +174,12 @@ func TestFreezeKeysVsMap(t *testing.T) {
 					t.Fatalf("absent key %#x returned %d", k, got)
 				}
 			}
-			tb := NewTable(c)
-			for k, v := range want {
-				tb.Put(k, v)
+			size := 8
+			for size < 2*len(want) {
+				size <<= 1
 			}
-			if got, frz := len(f.fps), len(Freeze(c, tb).fps); got != frz {
-				t.Fatalf("n=%d spread=%d: capacity %d, Freeze's %d", n, spread, got, frz)
+			if len(f.fps) != size {
+				t.Fatalf("n=%d spread=%d: capacity %d, want %d", n, spread, len(f.fps), size)
 			}
 			if n > 0 {
 				if c.Work() == 0 {
@@ -233,33 +205,6 @@ func TestFreezeKeysUndercount(t *testing.T) {
 		}
 	}()
 	FreezeKeys(pram.New(1), []uint64{1, 2, 3}, []int32{1, 2, 3}, 2)
-}
-
-func TestTableRange(t *testing.T) {
-	c := pram.New(0)
-	tb := NewTable(c)
-	want := map[uint64]int32{1: 10, 2: 20, 3: 30}
-	for k, v := range want {
-		tb.Put(k, v)
-	}
-	got := map[uint64]int32{}
-	tb.Range(func(k uint64, v int32) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("range visited %d entries", len(got))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("range got[%d] = %d", k, got[k])
-		}
-	}
-	count := 0
-	tb.Range(func(uint64, int32) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("early stop visited %d", count)
-	}
 }
 
 func TestCountTable(t *testing.T) {
@@ -296,31 +241,32 @@ func TestCountTable(t *testing.T) {
 	}
 }
 
+// TestFrozenMatchesTable checks a large frozen table against a Go map
+// reference: lookups, misses, and a Range that visits every entry once.
 func TestFrozenMatchesTable(t *testing.T) {
-	c := pram.New(0)
-	tb := NewTable(c)
 	rng := rand.New(rand.NewSource(91))
 	ref := map[uint64]int32{}
-	for i := 0; i < 50000; i++ {
-		k := rng.Uint64()
-		v := int32(rng.Intn(1 << 30))
+	var keys []uint64
+	var vals []int32
+	put := func(k uint64, v int32) {
 		if _, ok := ref[k]; !ok {
 			ref[k] = v
-			tb.Put(k, v)
+			keys = append(keys, k)
+			vals = append(vals, v)
 		}
 	}
-	// Include adversarial keys: 0 and clustered keys.
-	tb.Put(0, 7)
-	ref[0] = 7
+	// Adversarial keys first: 0 and clustered small keys.
+	put(0, 7)
 	for k := uint64(1); k < 100; k++ {
-		tb.Put(k, int32(k))
-		ref[k] = int32(k)
+		put(k, int32(k))
 	}
-	tb.Put(200, Empty) // Empty is storable (only None is reserved)
-	ref[200] = Empty
-	f := Freeze(c, tb)
-	if f.Len() != tb.Len() {
-		t.Fatalf("len %d vs %d", f.Len(), tb.Len())
+	put(200, Empty) // Empty is storable (only None is reserved)
+	for i := 0; i < 50000; i++ {
+		put(rng.Uint64(), int32(rng.Intn(1<<30)))
+	}
+	f := FreezeKeys(pram.New(0), keys, vals, len(ref))
+	if f.Len() != len(ref) {
+		t.Fatalf("len %d vs %d", f.Len(), len(ref))
 	}
 	for k, v := range ref {
 		if got := f.Lookup(k); got != v {
@@ -336,7 +282,7 @@ func TestFrozenMatchesTable(t *testing.T) {
 			t.Fatalf("phantom hit: key %d -> %d", k, v)
 		}
 	}
-	// Range visits every entry exactly once.
+	// Range visits every entry exactly once and stops when told to.
 	seen := map[uint64]bool{}
 	f.Range(func(k uint64, v int32) bool {
 		if seen[k] || ref[k] != v {
@@ -348,27 +294,32 @@ func TestFrozenMatchesTable(t *testing.T) {
 	if len(seen) != len(ref) {
 		t.Fatalf("range visited %d of %d", len(seen), len(ref))
 	}
+	count := 0
+	f.Range(func(uint64, int32) bool { count++; return false })
+	if count != 1 {
+		t.Fatalf("early stop visited %d", count)
+	}
 }
 
 func TestFrozenEmpty(t *testing.T) {
 	c := pram.New(0)
-	f := Freeze(c, NewTable(c))
+	f := FreezeKeys(c, nil, nil, 0)
 	if _, ok := f.Get(42); ok {
 		t.Fatal("empty frozen hit")
 	}
-	if f.Len() != 0 {
-		t.Fatal("len != 0")
+	if f.Len() != 0 || len(f.fps) != 8 {
+		t.Fatalf("len %d, capacity %d", f.Len(), len(f.fps))
+	}
+	if c.Work() != 0 || c.Depth() != 0 {
+		t.Fatalf("empty fill charged %d/%d", c.Work(), c.Depth())
 	}
 }
 
 func TestFreezeRejectsNoneValues(t *testing.T) {
-	c := pram.New(0)
-	tb := NewTable(c)
-	tb.Put(1, None)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	Freeze(c, tb)
+	FreezeKeys(pram.New(0), []uint64{1}, []int32{None}, 1)
 }

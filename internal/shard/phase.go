@@ -144,12 +144,6 @@ func (t *Set) SetPhasePolicy(p PhasePolicy) {
 	t.policy.Store(&pol)
 }
 
-// PhasePolicyNow returns the active coordinator tuning.
-func (t *Set) PhasePolicyNow() PhasePolicy { return *t.policy.Load() }
-
-// WritePhaseMode reports the requested mode (ModeJoined/ModeAuto/ModeSplit).
-func (t *Set) WritePhaseMode() int32 { return t.mode.Load() }
-
 // PhaseNow reports the current operating phase ("joined" or "split").
 func (t *Set) PhaseNow() string { return phaseName(t.phase.Load()) }
 

@@ -131,29 +131,36 @@ func New(c *pram.Ctx, patterns [][]int32, sigma, l int) (*Matcher, error) {
 		return nil, err
 	}
 
-	// --- Symbol-level extension table over all 𝒫 prefixes.
-	ext := naming.NewTable(c)
+	// --- Symbol-level extension table over all 𝒫 prefixes: one entry per
+	// prefix name, (parent name, last symbol) -> name, written by the name's
+	// representative.
+	nn := m.dictP.NameCount()
+	extKeys := make([]uint64, nn)
+	extVals := make([]int32, nn)
 	for i, s := range pstrs {
 		prev := naming.Empty
 		for pos := 1; pos <= len(s); pos++ {
 			name := m.dictP.PrefixName(i, pos)
-			ext.PutIfAbsent(naming.EncodePair(prev, s[pos-1]), name)
+			if m.dictP.RepPattern(name) == int32(i) {
+				extKeys[name] = naming.EncodePair(prev, s[pos-1])
+				extVals[name] = name
+			}
 			prev = name
 		}
 	}
-	m.ext = naming.Freeze(c, ext)
+	m.ext = naming.FreezeKeys(c, extKeys, extVals, nn)
 	c.AddWork(int64(totalLen(pstrs)))
 	c.AddDepth(1)
 
 	// --- lpD: longest original pattern per 𝒫-prefix name.
-	isPat := make([]int32, m.dictP.NameCount())
+	isPat := make([]int32, nn)
 	pram.Fill(c, isPat, -1)
 	c.For(len(pstrs), func(i int) {
 		if meta[i].drop == 0 {
 			isPat[m.dictP.PrefixName(i, len(pstrs[i]))] = meta[i].pat
 		}
 	})
-	m.lpD = make([]int32, m.dictP.NameCount())
+	m.lpD = make([]int32, nn)
 	pram.Fill(c, m.lpD, -1)
 	c.For(len(pstrs), func(i int) {
 		carry := int32(-1)
@@ -201,17 +208,23 @@ func totalLen(ss [][]int32) int {
 // buildAlphaTable computes, for every σ ∈ Σ and every 𝒫-prefix p, the
 // longest 𝒫-prefix of σ‖p, by scanning each string of 𝒫” once (prefixes of
 // a string form a chain, and 𝒫-prefixes are prefix-closed, so the longest
-// valid prefix evolves monotonically along the scan).
+// valid prefix evolves monotonically along the scan). Each σ owns a row of
+// NameCount+1 entries: the empty prefix first, then one per prefix name,
+// written by the name's representative.
 func (m *Matcher) buildAlphaTable(c *pram.Ctx, pstrs [][]int32) {
-	alphaTab := naming.NewTable(c)
+	nn := m.dictP.NameCount()
+	keys := make([]uint64, m.sigma*(nn+1))
+	vals := make([]int32, len(keys))
 	for sym := int32(0); int(sym) < m.sigma; sym++ {
+		row := int(sym) * (nn + 1)
 		// Key (σ, Empty): the string "σ" alone.
 		lpEmpty := m.ext.Lookup(naming.EncodePair(naming.Empty, sym))
 		valid0 := lpEmpty != naming.None
 		if !valid0 {
 			lpEmpty = naming.Empty
 		}
-		alphaTab.PutIfAbsent(naming.EncodePair(sym, naming.Empty), lpEmpty)
+		keys[row] = naming.EncodePair(sym, naming.Empty)
+		vals[row] = lpEmpty
 		for i, s := range pstrs {
 			full := lpEmpty // name of σ‖s[0..pos-1] while still a 𝒫-prefix
 			valid := valid0
@@ -226,11 +239,14 @@ func (m *Matcher) buildAlphaTable(c *pram.Ctx, pstrs [][]int32) {
 						valid = false
 					}
 				}
-				alphaTab.PutIfAbsent(naming.EncodePair(sym, m.dictP.PrefixName(i, pos)), lp)
+				if name := m.dictP.PrefixName(i, pos); m.dictP.RepPattern(name) == int32(i) {
+					keys[row+1+int(name)] = naming.EncodePair(sym, name)
+					vals[row+1+int(name)] = lp
+				}
 			}
 		}
 	}
-	m.alphaTab = naming.Freeze(c, alphaTab)
+	m.alphaTab = naming.FreezeKeys(c, keys, vals, len(keys))
 	c.AddWork(int64(m.sigma) * int64(totalLen(pstrs)))
 	// On the PRAM this is σ independent 4.2-style scans: O(log m) depth.
 	c.AddDepth(int64(log2ceil(m.mx)) + 1)
@@ -246,7 +262,10 @@ func (m *Matcher) buildBlocks(c *pram.Ctx, pstrs [][]int32) error {
 	offs := append([]int(nil), nblocks...)
 	total := c.ExclusiveScanInt(offs)
 
-	blockStep := naming.NewTable(c)
+	// One blockStep entry per distinct (state, symbol) key of each step,
+	// taken at its representative; the steps' names are disjoint ranges.
+	var stepKeys []uint64
+	var stepVals []int32
 	state := make([]int32, total) // current chain state per block
 	base := int32(0)
 	for step := 0; step < l; step++ {
@@ -260,16 +279,19 @@ func (m *Matcher) buildBlocks(c *pram.Ctx, pstrs [][]int32) error {
 				keys[offs[i]+b] = naming.EncodePair(prev, pstrs[i][b*l+step])
 			}
 		})
-		names, distinct := naming.BatchName(c, keys)
+		names, reps, distinct := naming.BatchNameRep(c, keys)
 		for e := 0; e < total; e++ {
 			state[e] = base + names[e]
-			blockStep.PutIfAbsent(keys[e], state[e])
+		}
+		for id, r := range reps {
+			stepKeys = append(stepKeys, keys[r])
+			stepVals = append(stepVals, base+int32(id))
 		}
 		c.AddWork(int64(total))
 		c.AddDepth(1)
 		base += int32(distinct)
 	}
-	m.blockStep = naming.Freeze(c, blockStep)
+	m.blockStep = naming.FreezeKeys(c, stepKeys, stepVals, int(base))
 
 	// 𝒫' strings (blockwise); drop strings with zero blocks.
 	var prime [][]int32
