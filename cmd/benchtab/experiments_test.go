@@ -173,3 +173,32 @@ func TestE16Quick(t *testing.T) {
 		}
 	}
 }
+
+// TestE20Quick runs the write-storm experiment at quick size and checks the
+// rows it records: every (arm, skew, writers) cell wrote, and its quiesced
+// matcher agreed with the dynamic oracle. The joined, split and auto arms
+// drive every caller of the shard write path. Throughput floors stay with
+// the guard table.
+func TestE20Quick(t *testing.T) {
+	runQuiet(t, e20)
+	f := results["E20"]
+	if f == nil || !f.Machine.Quick {
+		t.Fatal("E20 recorded no quick rows")
+	}
+	g := runtime.GOMAXPROCS(0)
+	for _, skew := range []string{"uniform", "hotshard"} {
+		for _, writers := range []int{1, 4, 8} {
+			cell := benchrow.Params{"skew": skew, "writers": writers}
+			for _, arm := range []string{"sharded-joined", "sharded-split", "sharded-auto", "dynamic-rwmutex"} {
+				if arm == "dynamic-rwmutex" && skew != "uniform" {
+					continue // no shards, so no skew
+				}
+				wps, ok1 := f.Get(arm, cell, g, "writes_per_sec")
+				oracle, ok2 := f.Get(arm, cell, g, "oracle_ok")
+				if !ok1 || !ok2 || !(wps > 0) || oracle != 1 {
+					t.Errorf("%s %s writers=%d: %v writes/s (%v), oracle_ok %v (%v)", arm, skew, writers, wps, ok1, oracle, ok2)
+				}
+			}
+		}
+	}
+}

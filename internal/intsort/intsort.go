@@ -13,6 +13,7 @@ const (
 	radixBits = 8
 	radix     = 1 << radixBits
 	radixMask = radix - 1
+	minChunk  = 1024 // fewest keys per histogram chunk
 )
 
 // Pair is a sortable key with its original index as payload.
@@ -64,10 +65,7 @@ func Sort(c *pram.Ctx, ps []Pair) {
 func countingPass(c *pram.Ctx, src, dst []Pair, shift int) {
 	n := len(src)
 	procs := c.Procs()
-	chunk := (n + procs - 1) / procs
-	if chunk < 1024 {
-		chunk = 1024
-	}
+	chunk := max((n+procs-1)/procs, minChunk)
 	nchunks := (n + chunk - 1) / chunk
 
 	// Per-chunk histograms (one parallel phase over the input).
@@ -83,7 +81,9 @@ func countingPass(c *pram.Ctx, src, dst []Pair, shift int) {
 	c.AddWork(int64(n) - int64(nchunks)) // charge per element, not per chunk
 
 	// Exclusive scan in (digit-major, chunk-minor) order gives each chunk its
-	// scatter base per digit, preserving stability.
+	// scatter base per digit, preserving stability. It is charged at the
+	// finest split, one histogram per minChunk keys, so the counted Work
+	// depends on n alone; the pool's coarser split scans no more than that.
 	var total int64
 	for d := 0; d < radix; d++ {
 		for ci := 0; ci < nchunks; ci++ {
@@ -92,7 +92,7 @@ func countingPass(c *pram.Ctx, src, dst []Pair, shift int) {
 			total += v
 		}
 	}
-	c.AddWork(int64(radix * nchunks))
+	c.AddWork(int64(radix * ((n + minChunk - 1) / minChunk)))
 	c.AddDepth(1)
 
 	// Stable scatter (second parallel phase).

@@ -179,3 +179,27 @@ func TestRankDistinctEmpty(t *testing.T) {
 		t.Fatalf("distinct of empty = %d", d)
 	}
 }
+
+// TestSortChargeIndependentOfPool sorts the same keys on pools of one, two
+// and four processors, whose histogram chunks differ, and requires the same
+// counted Work and Depth from each.
+func TestSortChargeIndependentOfPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]uint64, 5000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	var work, depth []int64
+	for _, procs := range []int{1, 2, 4} {
+		c := pram.New(procs)
+		ps := make([]Pair, len(keys))
+		for i, k := range keys {
+			ps[i] = Pair{Key: k, Idx: int32(i)}
+		}
+		Sort(c, ps)
+		work, depth = append(work, c.Work()), append(depth, c.Depth())
+	}
+	if work[0] != work[1] || work[1] != work[2] || depth[0] != depth[1] || depth[1] != depth[2] {
+		t.Fatalf("work %v, depth %v at 1, 2, 4 processors; want equal", work, depth)
+	}
+}

@@ -350,20 +350,21 @@ func (c *Ctx) MaxInt(n int, def int, f func(i int) int) int {
 
 // seqScanThreshold is the historic fixed grain floor. ExclusiveScan keeps it
 // as the sequential/chunked decision point — independent of the pool's
-// adaptive grain — so the 1-phase vs 2-phase Work/Depth accounting is
-// identical to the pre-pool engine on every input.
+// adaptive grain and processor count — so the 1-phase vs 2-phase Work/Depth
+// accounting depends on n alone, on every pool.
 const seqScanThreshold = 64
 
 // ExclusiveScan replaces xs with its exclusive prefix sums and returns the
 // total. It runs as two parallel phases over the chunked decomposition
 // (2n work, 2 depth), the standard work-efficient scan; short inputs run as
-// one sequential phase (n work, 1 depth).
+// one sequential phase (n work, 1 depth). A one-processor pool runs the two
+// phases inline, as it runs any phase.
 func (c *Ctx) ExclusiveScan(xs []int64) int64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	if n <= seqScanThreshold || c.pool.procs == 1 {
+	if n <= seqScanThreshold {
 		c.work.Add(int64(n))
 		c.depth.Add(1)
 		if c.Canceled() {

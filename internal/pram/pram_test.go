@@ -55,25 +55,39 @@ func TestWorkDepthCounters(t *testing.T) {
 	}
 }
 
+// TestExclusiveScan checks the prefix sums and the counted charge, one phase
+// up to seqScanThreshold and two above it, on one- and three-processor pools.
 func TestExclusiveScan(t *testing.T) {
-	c := New(3)
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, 2, 100, 1024, 9999} {
-		xs := make([]int64, n)
-		want := make([]int64, n)
-		var sum int64
-		for i := range xs {
-			xs[i] = int64(rng.Intn(100) - 50)
-			want[i] = sum
-			sum += xs[i]
-		}
-		got := c.ExclusiveScan(xs)
-		if got != sum {
-			t.Fatalf("n=%d: total %d want %d", n, got, sum)
-		}
-		for i := range xs {
-			if xs[i] != want[i] {
-				t.Fatalf("n=%d: prefix[%d] = %d want %d", n, i, xs[i], want[i])
+	for _, procs := range []int{1, 3} {
+		c := New(procs)
+		for _, n := range []int{0, 1, 2, 64, 65, 100, 1024, 9999} {
+			xs := make([]int64, n)
+			want := make([]int64, n)
+			var sum int64
+			for i := range xs {
+				xs[i] = int64(rng.Intn(100) - 50)
+				want[i] = sum
+				sum += xs[i]
+			}
+			c.ResetStats()
+			got := c.ExclusiveScan(xs)
+			if got != sum {
+				t.Fatalf("procs=%d n=%d: total %d want %d", procs, n, got, sum)
+			}
+			for i := range xs {
+				if xs[i] != want[i] {
+					t.Fatalf("procs=%d n=%d: prefix[%d] = %d want %d", procs, n, i, xs[i], want[i])
+				}
+			}
+			wantWork, wantDepth := int64(n), int64(1)
+			if n == 0 {
+				wantDepth = 0
+			} else if n > seqScanThreshold {
+				wantWork, wantDepth = 2*int64(n), 2
+			}
+			if c.Work() != wantWork || c.Depth() != wantDepth {
+				t.Errorf("procs=%d n=%d: work/depth %d/%d, want %d/%d", procs, n, c.Work(), c.Depth(), wantWork, wantDepth)
 			}
 		}
 	}

@@ -59,18 +59,13 @@ type Result struct {
 // Match scatter-gathers the text across every shard: each shard's snapshot is
 // pinned up front (one tight window, so the scan observes a consistent cut of
 // completed writes), matched concurrently on its own execution context from
-// mk, and the per-position longest matches are merged. The returned context
-// is non-nil only when matching was canceled mid-flight (its Err/Cause carry
-// the cancellation); the Result is nil in that case.
-func (t *Set) Match(mk func() *pram.Ctx, enc []int32) (*Result, *pram.Ctx) {
-	return t.MatchTraced(mk, enc, nil)
-}
-
-// MatchTraced is Match recording per-shard, overlay, and merge spans into tr
-// (nil tr records nothing — it is exactly Match). The contexts from mk carry
-// their own trace wiring for phase spans; tr names the coarser structure a
-// trace viewer groups them under.
-func (t *Set) MatchTraced(mk func() *pram.Ctx, enc []int32, tr *trace.T) (*Result, *pram.Ctx) {
+// mk, and the per-position longest matches are merged. Per-shard, overlay and
+// merge spans go to tr (a nil tr records nothing); the contexts from mk carry
+// their own trace wiring for phase spans, and tr names the coarser structure
+// a trace viewer groups them under. The returned context is non-nil only when
+// matching was canceled mid-flight (its Err/Cause carry the cancellation);
+// the Result is nil in that case.
+func (t *Set) Match(mk func() *pram.Ctx, enc []int32, tr *trace.T) (*Result, *pram.Ctx) {
 	shards := *t.shards.Load()
 	n := len(enc)
 

@@ -7,12 +7,11 @@
 // spreads across slots), stamped from one global atomic sequence. Insert and
 // Delete are commutative up to last-writer-wins per pattern, so the logs need
 // no coordination; a coordinator goroutine periodically captures every slot
-// under an epoch barrier, collapses the batch LWW by content, and replays the
-// survivors through the ordinary shard-lock path in one batched critical
-// section per shard — feeding the existing overlay/rebuild machinery
-// unchanged. Readers are never blocked in either phase; in the split phase
-// they see the last merged state, so visibility lags by at most the merge
-// period plus one apply (the staleness bound).
+// under an epoch barrier, collapses the batch LWW by content, and applies the
+// survivors through the joined phase's own apply and publish, in one batched
+// critical section per shard. Readers are never blocked in either phase; in
+// the split phase they see the last merged state, so visibility lags by at
+// most the merge period plus one apply (the staleness bound).
 //
 // The epoch barrier is phaseMu: writers hold it for read across their whole
 // operation, transitions and captures take it for write. Taking the write
@@ -107,8 +106,7 @@ func (p PhasePolicy) withDefaults() PhasePolicy {
 // at merge the highest seq per pattern content wins.
 type splitOp struct {
 	seq uint64
-	del bool
-	e   Entry
+	op
 }
 
 // wlogSlot is one private log. Padded out to its own cache lines so slots
@@ -247,109 +245,42 @@ func (t *Set) captureLocked() []splitOp {
 // applyCaptured folds one captured batch into the shards: sort by the global
 // sequence, keep each pattern's final op (last writer wins — an earlier
 // insert shadowed by a delete, or vice versa, never needs to touch a shard),
-// bucket by shard, and replay each bucket in a single locked critical section
-// that publishes one overlay snapshot. Caller holds mergeMu; holding phaseMu
-// too is allowed but not required.
+// bucket by shard, and apply each bucket in a single locked critical section
+// that publishes one snapshot. Ops apply refuses (a duplicate insert, an
+// absent delete) are the split phase's silent upserts. Caller holds mergeMu;
+// holding phaseMu too is allowed but not required.
 func (t *Set) applyCaptured(batch []splitOp) {
 	if len(batch) == 0 {
 		return
 	}
 	t0 := time.Now()
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	type finalOp struct {
-		del bool
-		e   Entry
-	}
-	final := make(map[string]int, len(batch))
-	var ops []finalOp
-	var keys []string
-	for i := range batch {
-		o := &batch[i]
-		key := string(o.e.Raw)
-		if idx, ok := final[key]; ok {
-			ops[idx] = finalOp{del: o.del, e: o.e}
+	shards := *t.shards.Load()
+	final := make(map[string]int, len(batch)) // content → index in its bucket
+	buckets := make([][]op, len(shards))
+	for _, o := range batch {
+		si := ShardOf(o.e.Raw, len(shards))
+		if i, ok := final[string(o.e.Raw)]; ok {
+			buckets[si][i] = o.op
 			continue
 		}
-		final[key] = len(ops)
-		ops = append(ops, finalOp{del: o.del, e: o.e})
-		keys = append(keys, key)
+		final[string(o.e.Raw)] = len(buckets[si])
+		buckets[si] = append(buckets[si], o.op)
 	}
-
-	shards := *t.shards.Load()
-	buckets := make(map[int][]int) // shard index → indices into ops
-	for i, key := range keys {
-		si := ShardOf([]byte(key), len(shards))
-		buckets[si] = append(buckets[si], i)
-	}
-	for si, idxs := range buckets {
+	for si, ops := range buckets {
+		if len(ops) == 0 {
+			continue
+		}
 		s := shards[si]
 		s.mu.Lock()
-		sn := s.snap.Load()
-		adds := sn.adds
-		delB := sn.delBase
-		addsCloned, delCloned := false, false
-		pendOps, pendBytes := sn.pendOps, sn.pendBytes
-		changed := false
-		for _, oi := range idxs {
-			o := ops[oi]
-			key := keys[oi]
-			if o.del {
-				if _, live := s.liveID[key]; !live {
-					continue // deleting an absent pattern: no-op upsert semantics
-				}
-				delete(s.liveID, key)
-				s.liveBytes -= len(o.e.Enc)
-				s.pending = append(s.pending, op{del: true, e: o.e})
-				pendOps++
-				pendBytes += len(o.e.Enc)
-				if bi, inBase := s.baseIdx[key]; inBase && !delB[bi] {
-					if !delCloned {
-						nd := make(map[int32]bool, len(delB)+1)
-						for k, v := range delB {
-							nd[k] = v
-						}
-						delB, delCloned = nd, true
-					}
-					delB[bi] = true
-				} else {
-					if !addsCloned {
-						adds, addsCloned = append([]Entry(nil), adds...), true
-					}
-					for i := range adds {
-						if string(adds[i].Raw) == key {
-							adds = append(adds[:i], adds[i+1:]...)
-							break
-						}
-					}
-				}
-			} else {
-				if _, dup := s.liveID[key]; dup {
-					continue // duplicate insert: no-op upsert semantics
-				}
-				s.liveID[key] = o.e.ID
-				s.liveBytes += len(o.e.Enc)
-				if len(o.e.Enc) > s.maxLen {
-					s.maxLen = len(o.e.Enc)
-				}
-				s.pending = append(s.pending, op{e: o.e})
-				pendOps++
-				pendBytes += len(o.e.Enc)
-				if !addsCloned {
-					adds, addsCloned = append([]Entry(nil), adds...), true
-				}
-				adds = append(adds, o.e)
+		applied := ops[:0]
+		for _, o := range ops {
+			if o, ok := s.apply(o); ok {
+				applied = append(applied, o)
 			}
-			changed = true
 		}
-		if changed {
-			ns := &snapshot{
-				base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen,
-				adds: adds, delBase: delB,
-				pendOps: pendOps, pendBytes: pendBytes, epoch: sn.epoch,
-			}
-			ns.sortAdds()
-			s.snap.Store(ns)
-			t.maybeSchedule(s, ns)
+		if len(applied) > 0 {
+			t.publish(s, s.snap.Load(), applied)
 		}
 		s.mu.Unlock()
 	}

@@ -269,7 +269,7 @@ func TestPhaseConcurrentStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				res, c := set.Match(mk, enc("xx anchor yy"))
+				res, c := set.Match(mk, enc("xx anchor yy"), nil)
 				if c != nil {
 					t.Errorf("match canceled: %v", c.Err())
 					return
@@ -307,9 +307,9 @@ func TestCleanSnapshotFastPath(t *testing.T) {
 	// and matching must serve straight off the base engines.
 	for _, s := range *set.shards.Load() {
 		sn := s.snap.Load()
-		if len(sn.adds) != 0 || len(sn.delBase) != 0 || sn.pendOps != 0 {
+		if len(sn.adds) != 0 || len(sn.delBase) != 0 || len(s.pending) != 0 {
 			t.Fatalf("shard not clean after Reconcile: adds=%d del=%d pend=%d",
-				len(sn.adds), len(sn.delBase), sn.pendOps)
+				len(sn.adds), len(sn.delBase), len(s.pending))
 		}
 		if sn.base != nil && len(sn.baseLen) != len(sn.baseEnt) {
 			t.Fatalf("baseLen len %d != baseEnt len %d", len(sn.baseLen), len(sn.baseEnt))
@@ -319,7 +319,7 @@ func TestCleanSnapshotFastPath(t *testing.T) {
 	checkMatch(t, set, text, live)
 
 	// AllAt through clean hits: longest-first, complete.
-	r, c := set.Match(mk, enc(text))
+	r, c := set.Match(mk, enc(text), nil)
 	if c != nil {
 		t.Fatalf("match canceled: %v", c.Err())
 	}

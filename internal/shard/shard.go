@@ -15,7 +15,10 @@
 // then atomically swaps the fresh snapshot in. Matching therefore keeps the
 // static engine's Θ(n·log m) per-shard cost (plus a small bounded overlay
 // surcharge), while updates land in O(1) log appends amortized against
-// per-shard rebuild work.
+// per-shard rebuild work. Every write — joined, merged from the split phase's
+// private logs, or replayed onto a freshly compiled base — changes the live
+// state through one method (apply) and reaches readers through another
+// (publish).
 //
 // Linearizability: a completed Insert/Delete has published its snapshot before
 // returning, and a scan pins every shard's snapshot before matching, so every
@@ -26,9 +29,11 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +118,7 @@ type op struct {
 // snapshot is the immutable published state of one shard: a compiled static
 // base plus the pending overlay (inserts not yet compiled in, base indices
 // pending deletion). Readers pin it, use it, unpin it; nothing in it is ever
-// mutated after publication.
+// mutated after publication. Only publish builds one.
 type snapshot struct {
 	base     *core.Dict     // compiled general engine over baseEnt (nil ⇔ no base patterns)
 	baseEnt  []Entry        // base patterns, index-aligned with base's pattern ids
@@ -122,23 +127,8 @@ type snapshot struct {
 	addsDesc []int32        // indices into adds, longest pattern first (tie: arrival)
 	delBase  map[int32]bool // base indices pending deletion
 
-	pendOps   int // log records since base was compiled
-	pendBytes int // Σ encoded length over those records
-
 	epoch uint64       // incremented per base recompile
 	pins  atomic.Int64 // readers currently inside a scan of this snapshot
-}
-
-// sortAdds (re)derives addsDesc. Called once per snapshot construction, under
-// the owning shard's writer lock.
-func (sn *snapshot) sortAdds() {
-	sn.addsDesc = make([]int32, len(sn.adds))
-	for i := range sn.addsDesc {
-		sn.addsDesc[i] = int32(i)
-	}
-	sort.SliceStable(sn.addsDesc, func(a, b int) bool {
-		return len(sn.adds[sn.addsDesc[a]].Enc) > len(sn.adds[sn.addsDesc[b]].Enc)
-	})
 }
 
 // Shard is one partition: the published snapshot plus the writer-side state
@@ -153,6 +143,7 @@ type Shard struct {
 	liveID    map[string]int32 // content → id for every live pattern
 	baseIdx   map[string]int32 // content → index in the current compiled base
 	pending   []op             // mutation log since the current base
+	pendBytes int              // Σ encoded length over pending
 	baseBytes int              // Σ encoded length of base entries
 	liveBytes int              // Σ encoded length of live patterns
 	maxLen    int              // high-water longest live pattern since last compile
@@ -282,15 +273,11 @@ func (t *Set) freshShard(ents []Entry, base *core.Dict) *Shard {
 		s.liveID[string(e.Raw)] = e.ID
 		s.baseIdx[string(e.Raw)] = int32(i)
 		s.baseBytes += len(e.Enc)
+		s.maxLen = max(s.maxLen, len(e.Enc))
 		lens[i] = int32(len(e.Enc))
-		if len(e.Enc) > s.maxLen {
-			s.maxLen = len(e.Enc)
-		}
 	}
 	s.liveBytes = s.baseBytes
-	sn := &snapshot{base: base, baseEnt: ents, baseLen: lens, delBase: map[int32]bool{}}
-	sn.sortAdds()
-	s.snap.Store(sn)
+	t.publish(s, &snapshot{base: base, baseEnt: ents, baseLen: lens}, nil)
 	return s
 }
 
@@ -331,7 +318,21 @@ func ShardOf(raw []byte, n int) int {
 // resolves to a no-op at merge rather than ErrDuplicate here. The compile
 // cost is paid later, amortized, by the reconciler either way.
 func (t *Set) Insert(raw []byte, enc []int32) (int32, error) {
-	if len(enc) == 0 {
+	return t.write(op{e: Entry{ID: -1, Raw: raw, Enc: enc}})
+}
+
+// Delete removes a live pattern (by content), with Insert's costs and
+// visibility in either phase. In the split phase deleting an absent pattern
+// resolves to a no-op at merge rather than ErrNotFound here.
+func (t *Set) Delete(raw []byte, enc []int32) error {
+	_, err := t.write(op{del: true, e: Entry{ID: -1, Raw: raw, Enc: enc}})
+	return err
+}
+
+// write is Insert and Delete: in the split phase an append to a private log,
+// in the joined phase writeJoined.
+func (t *Set) write(o op) (int32, error) {
+	if len(o.e.Enc) == 0 {
 		return 0, ErrEmptyPattern
 	}
 	t.phaseMu.RLock()
@@ -342,121 +343,108 @@ func (t *Set) Insert(raw []byte, enc []int32) (int32, error) {
 	if t.closed.Load() {
 		return 0, ErrClosed
 	}
+	o.e.Raw = append([]byte(nil), o.e.Raw...)
 	if t.phase.Load() == phaseSplit {
-		id := t.nextID.Add(1) - 1
-		t.logSplit(splitOp{
-			seq: t.wseq.Add(1),
-			e:   Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc},
-		})
-		return id, nil
+		if !o.del {
+			o.e.ID = t.nextID.Add(1) - 1
+		}
+		t.logSplit(splitOp{seq: t.wseq.Add(1), op: o})
+		return o.e.ID, nil
 	}
-	t.joinedWrites.Add(1)
-	metJoinedWrites.Inc()
-	t.wmu.RLock()
-	defer t.wmu.RUnlock()
-	shards := *t.shards.Load()
-	s := shards[ShardOf(raw, len(shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	key := string(raw)
-	if _, dup := s.liveID[key]; dup {
-		return 0, ErrDuplicate
-	}
-	id := t.nextID.Add(1) - 1
-	e := Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc}
-	s.liveID[key] = id
-	s.liveBytes += len(enc)
-	if len(enc) > s.maxLen {
-		s.maxLen = len(enc)
-	}
-	s.pending = append(s.pending, op{e: e})
-
-	sn := s.snap.Load()
-	ns := &snapshot{
-		base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen, delBase: sn.delBase,
-		// Appending to the latest snapshot's adds is safe: writers are
-		// serialized under mu, and a slot beyond an older snapshot's len is
-		// never read through that snapshot.
-		adds:      append(sn.adds, e),
-		pendOps:   sn.pendOps + 1,
-		pendBytes: sn.pendBytes + len(enc),
-		epoch:     sn.epoch,
-	}
-	ns.sortAdds()
-	s.snap.Store(ns)
-	t.maybeSchedule(s, ns)
-	return id, nil
+	return t.writeJoined(o)
 }
 
-// Delete removes a live pattern (by content). Joined phase: an O(1) log
-// append plus an O(pending) overlay refresh, published atomically. Split
-// phase: a private-log append with no liveness check — deleting an absent
-// pattern resolves to a no-op at merge rather than ErrNotFound here.
-func (t *Set) Delete(raw []byte, enc []int32) error {
-	if len(enc) == 0 {
-		return ErrEmptyPattern
-	}
-	t.phaseMu.RLock()
-	defer t.phaseMu.RUnlock()
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if t.phase.Load() == phaseSplit {
-		t.logSplit(splitOp{
-			seq: t.wseq.Add(1),
-			del: true,
-			e:   Entry{ID: -1, Raw: append([]byte(nil), raw...), Enc: enc},
-		})
-		return nil
-	}
+// writeJoined is apply then publish under the owning shard's lock, with
+// ErrDuplicate and ErrNotFound for the writes apply refuses. It is a function
+// of its own so that both it and write keep open-coded defers, which the
+// split phase's append is short enough to notice. Caller holds phaseMu.R.
+func (t *Set) writeJoined(o op) (int32, error) {
 	t.joinedWrites.Add(1)
 	metJoinedWrites.Inc()
 	t.wmu.RLock()
 	defer t.wmu.RUnlock()
 	shards := *t.shards.Load()
-	s := shards[ShardOf(raw, len(shards))]
+	s := shards[ShardOf(o.e.Raw, len(shards))]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	key := string(raw)
-	id, ok := s.liveID[key]
-	if !ok {
-		return ErrNotFound
+	o, ok := s.apply(o)
+	switch {
+	case !ok && o.del:
+		return 0, ErrNotFound
+	case !ok:
+		return 0, ErrDuplicate
 	}
-	delete(s.liveID, key)
-	s.liveBytes -= len(enc)
-	s.pending = append(s.pending, op{del: true, e: Entry{ID: id, Raw: append([]byte(nil), raw...), Enc: enc}})
+	t.publish(s, s.snap.Load(), []op{o})
+	return o.e.ID, nil
+}
 
-	sn := s.snap.Load()
-	ns := &snapshot{
-		base: sn.base, baseEnt: sn.baseEnt, baseLen: sn.baseLen,
-		pendOps:   sn.pendOps + 1,
-		pendBytes: sn.pendBytes + len(enc),
-		epoch:     sn.epoch,
+// apply is the one place a mutation changes a shard's live index, pending log
+// and byte counts. It reports false, changing nothing, for an insert of a
+// live pattern or a delete of an absent one; an applied insert without an id
+// (ID < 0) takes the next one. Called with s.mu held; the caller publishes
+// the applied ops.
+func (s *Shard) apply(o op) (op, bool) {
+	if _, live := s.liveID[string(o.e.Raw)]; live != o.del {
+		return o, false
 	}
-	if bi, inBase := s.baseIdx[key]; inBase && !sn.delBase[bi] {
-		del := make(map[int32]bool, len(sn.delBase)+1)
-		for k, v := range sn.delBase {
-			del[k] = v
-		}
-		del[bi] = true
-		ns.delBase = del
-		ns.adds = sn.adds
+	if o.del {
+		delete(s.liveID, string(o.e.Raw))
+		s.liveBytes -= len(o.e.Enc)
 	} else {
-		// The live instance is a pending insert: drop it from the overlay.
-		ns.delBase = sn.delBase
-		ns.adds = make([]Entry, 0, len(sn.adds))
-		for _, a := range sn.adds {
-			if string(a.Raw) != key {
-				ns.adds = append(ns.adds, a)
+		if o.e.ID < 0 {
+			o.e.ID = s.set.nextID.Add(1) - 1
+		}
+		s.liveID[string(o.e.Raw)] = o.e.ID
+		s.liveBytes += len(o.e.Enc)
+	}
+	s.pending = append(s.pending, o)
+	s.pendBytes += len(o.e.Enc)
+	return o, true
+}
+
+// publish is the one place a snapshot is built. It folds ops, already
+// applied to the live index, onto from's overlay copy-on-write, stores the
+// result and re-checks the rebuild trigger. Inserts append past from's adds:
+// writers are serialized under mu, and a slot beyond an older snapshot's len
+// is never read through that snapshot. A delete marks its base entry while
+// that one is live, else drops its pending insert; the first delete of the
+// batch to edit delBase or adds copies it. addsDesc is sorted once. Called
+// with s.mu held (or before the shard is visible), s.baseIdx indexing from's
+// base.
+func (t *Set) publish(s *Shard, from *snapshot, ops []op) {
+	ns := &snapshot{
+		base: from.base, baseEnt: from.baseEnt, baseLen: from.baseLen,
+		adds: from.adds, delBase: from.delBase, epoch: from.epoch,
+	}
+	addsCopied, delCopied := false, false
+	for _, o := range ops {
+		if !o.del {
+			ns.adds = append(ns.adds, o.e)
+			s.maxLen = max(s.maxLen, len(o.e.Enc))
+		} else if bi, inBase := s.baseIdx[string(o.e.Raw)]; inBase && !ns.delBase[bi] {
+			if !delCopied {
+				del := make(map[int32]bool, len(ns.delBase)+1)
+				maps.Copy(del, ns.delBase)
+				ns.delBase, delCopied = del, true
 			}
+			ns.delBase[bi] = true
+		} else {
+			i := slices.IndexFunc(ns.adds, func(a Entry) bool { return bytes.Equal(a.Raw, o.e.Raw) })
+			if !addsCopied {
+				ns.adds, addsCopied = append(make([]Entry, 0, len(ns.adds)), ns.adds...), true
+			}
+			ns.adds = slices.Delete(ns.adds, i, i+1)
 		}
 	}
-	ns.sortAdds()
+	ns.addsDesc = make([]int32, len(ns.adds))
+	for i := range ns.addsDesc {
+		ns.addsDesc[i] = int32(i)
+	}
+	slices.SortStableFunc(ns.addsDesc, func(a, b int32) int {
+		return len(ns.adds[b].Enc) - len(ns.adds[a].Enc)
+	})
 	s.snap.Store(ns)
-	t.maybeSchedule(s, ns)
-	return nil
+	t.maybeSchedule(s)
 }
 
 // Export returns a copy of every live pattern's raw bytes, in unspecified
@@ -497,9 +485,9 @@ func (t *Set) Has(raw []byte) bool {
 
 // maybeSchedule enqueues the shard for reconciliation once its log crosses
 // the amortization threshold. Called with the shard's mu held.
-func (t *Set) maybeSchedule(s *Shard, sn *snapshot) {
-	trigger := sn.pendOps >= t.maxPendingOps ||
-		(sn.pendBytes >= t.minPendingBytes && 4*sn.pendBytes >= s.baseBytes)
+func (t *Set) maybeSchedule(s *Shard) {
+	trigger := len(s.pending) >= t.maxPendingOps ||
+		(s.pendBytes >= t.minPendingBytes && 4*s.pendBytes >= s.baseBytes)
 	if !trigger {
 		return
 	}
@@ -558,7 +546,7 @@ func (t *Set) rebuild(s *Shard) {
 	// Capture: the snapshot to fold and how much of the log it covers.
 	s.mu.Lock()
 	sn := s.snap.Load()
-	k := len(s.pending)
+	k, kBytes := len(s.pending), s.pendBytes
 	s.mu.Unlock()
 
 	if gate := t.gate.Load(); gate != nil {
@@ -576,11 +564,13 @@ func (t *Set) rebuild(s *Shard) {
 	eff = append(eff, sn.adds...)
 	encs := make([][]int32, len(eff))
 	effLen := make([]int32, len(eff))
+	newIdx := make(map[string]int32, len(eff))
 	baseBytes := 0
-	for i := range eff {
-		encs[i] = eff[i].Enc
-		effLen[i] = int32(len(eff[i].Enc))
-		baseBytes += len(eff[i].Enc)
+	for i, e := range eff {
+		encs[i] = e.Enc
+		effLen[i] = int32(len(e.Enc))
+		newIdx[string(e.Raw)] = int32(i)
+		baseBytes += len(e.Enc)
 	}
 	c := t.newCtx()
 	base, err := core.Preprocess(c, encs)
@@ -592,32 +582,19 @@ func (t *Set) rebuild(s *Shard) {
 		s.queued.Store(false)
 		return
 	}
-	newIdx := make(map[string]int32, len(eff))
-	for i := range eff {
-		newIdx[string(eff[i].Raw)] = int32(i)
-	}
 
-	// Swap: replay whatever arrived during the compile onto the new base,
-	// then publish. One pointer store; readers never wait.
+	// Swap: publish the new base with the log records that arrived during
+	// the compile folded onto it. One pointer store; readers never wait. The
+	// trigger is re-checked there, since the compile may have raced a burst
+	// of writes large enough to warrant another pass immediately.
 	s.mu.Lock()
-	rem := s.pending[k:]
-	adds, delb, remBytes := replay(rem, newIdx)
-	s.pending = append([]op(nil), rem...)
+	s.pending = append([]op(nil), s.pending[k:]...)
+	s.pendBytes -= kBytes
 	s.baseIdx = newIdx
 	s.baseBytes = baseBytes
 	s.maxLen = base.MaxLen()
-	for _, a := range adds {
-		if len(a.Enc) > s.maxLen {
-			s.maxLen = len(a.Enc)
-		}
-	}
-	ns := &snapshot{
-		base: base, baseEnt: eff, baseLen: effLen, adds: adds, delBase: delb,
-		pendOps: len(rem), pendBytes: remBytes, epoch: sn.epoch + 1,
-	}
-	ns.sortAdds()
-	s.snap.Store(ns)
 	s.queued.Store(false)
+	t.publish(s, &snapshot{base: base, baseEnt: eff, baseLen: effLen, epoch: sn.epoch + 1}, s.pending)
 	s.mu.Unlock()
 
 	t.swaps.Add(1)
@@ -627,42 +604,6 @@ func (t *Set) rebuild(s *Shard) {
 	metRebuildNs.Observe(time.Since(t0).Nanoseconds())
 	t.reconWork.Add(c.Work())
 	t.reconDepth.Add(c.Depth())
-
-	// Re-check the trigger: the compile may have raced a burst of writes
-	// large enough to warrant another pass immediately.
-	s.mu.Lock()
-	t.maybeSchedule(s, s.snap.Load())
-	s.mu.Unlock()
-}
-
-// replay folds log records that arrived during a compile onto the new base:
-// inserts become overlay adds; deletes cancel a local add or mark a new-base
-// index. Records always resolve — a delete's target was live when logged, so
-// it is either in the new base or in an earlier record of the same slice.
-func replay(rem []op, newIdx map[string]int32) (adds []Entry, delb map[int32]bool, bytes int) {
-	delb = map[int32]bool{}
-	for _, o := range rem {
-		bytes += len(o.e.Enc)
-		key := string(o.e.Raw)
-		if !o.del {
-			adds = append(adds, o.e)
-			continue
-		}
-		dropped := false
-		for i := range adds {
-			if string(adds[i].Raw) == key {
-				adds = append(adds[:i], adds[i+1:]...)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			if bi, ok := newIdx[key]; ok {
-				delb[bi] = true
-			}
-		}
-	}
-	return adds, delb, bytes
 }
 
 // Replace atomically substitutes the whole dictionary: every pattern set is
@@ -811,15 +752,10 @@ func (t *Set) Stats() Stats {
 		s.mu.Lock()
 		st.Patterns += len(s.liveID)
 		st.Bytes += s.liveBytes
-		if s.maxLen > st.MaxLen {
-			st.MaxLen = s.maxLen
-		}
-		sn := s.snap.Load()
-		st.PendingOps += sn.pendOps
-		st.PendingBytes += sn.pendBytes
-		if sn.epoch > st.Epoch {
-			st.Epoch = sn.epoch
-		}
+		st.MaxLen = max(st.MaxLen, s.maxLen)
+		st.PendingOps += len(s.pending)
+		st.PendingBytes += s.pendBytes
+		st.Epoch = max(st.Epoch, s.snap.Load().epoch)
 		s.mu.Unlock()
 	}
 	return st

@@ -51,7 +51,7 @@ func oracle(text string, live []string) []int {
 
 func checkMatch(t *testing.T, set *Set, text string, live []string) {
 	t.Helper()
-	r, c := set.Match(mk, enc(text))
+	r, c := set.Match(mk, enc(text), nil)
 	if c != nil {
 		t.Fatalf("match canceled: %v", c.Err())
 	}
@@ -151,7 +151,7 @@ func TestBackgroundRebuildTriggers(t *testing.T) {
 	caughtUp := func() bool {
 		for _, s := range *set.shards.Load() {
 			s.mu.Lock()
-			pending := s.snap.Load().pendOps
+			pending := len(s.pending)
 			s.mu.Unlock()
 			if pending >= set.maxPendingOps {
 				return false
@@ -255,7 +255,7 @@ func TestPinGauge(t *testing.T) {
 	if got := set.Stats().PinnedSnapshots; got != 0 {
 		t.Fatalf("pinned at rest = %d", got)
 	}
-	r, c := set.Match(mk, enc("xabx"))
+	r, c := set.Match(mk, enc("xabx"), nil)
 	if c != nil || r == nil {
 		t.Fatalf("match failed")
 	}
@@ -321,7 +321,7 @@ func TestAllAt(t *testing.T) {
 	insert(t, set, live...)
 	set.Reconcile()
 	insert(t, set, "abcde") // pending overlay entry
-	r, c := set.Match(mk, enc("abcdef"))
+	r, c := set.Match(mk, enc("abcdef"), nil)
 	if c != nil {
 		t.Fatalf("canceled: %v", c.Err())
 	}

@@ -312,7 +312,7 @@ func (m *ShardedMatcher) MatchContext(gctx context.Context, text []byte) (*Shard
 	var r *shard.Result
 	var canceled *pram.Ctx
 	obs.Do(gctx, func(lctx context.Context) {
-		r, canceled = m.set.MatchTraced(func() *pram.Ctx {
+		r, canceled = m.set.Match(func() *pram.Ctx {
 			ctx := m.cfg.newCtxFor(gctx)
 			ctx.SetLabelContext(lctx)
 			return ctx
