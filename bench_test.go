@@ -378,7 +378,8 @@ func BenchmarkStream(b *testing.B) {
 	}
 }
 
-// Serialization round-trip throughput (compiled dictionary shipping).
+// Serialization round trip: save, load, and the build that load amounts to
+// (NewMatcher over the same patterns).
 func BenchmarkSaveLoad(b *testing.B) {
 	ip := workload.Dictionary(33, 1024, 4, 64, 16)
 	pats := make([][]byte, len(ip))
@@ -409,6 +410,13 @@ func BenchmarkSaveLoad(b *testing.B) {
 		b.SetBytes(int64(len(blob)))
 		for i := 0; i < b.N; i++ {
 			if _, err := LoadMatcher(bytes.NewReader(blob)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := NewMatcher(pats, WithEngine(EngineGeneral)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,7 +2,6 @@ package pardict
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -163,8 +162,7 @@ func TestChainDuplicateWitnessAllEngines(t *testing.T) {
 }
 
 // TestLoadRejectsRepeatedPattern: a checksummed stream whose pattern list
-// repeats a pattern loads to the same DuplicateError NewMatcher reports,
-// although its compiled engine payload holds distinct patterns.
+// repeats a pattern loads to the same DuplicateError NewMatcher reports.
 func TestLoadRejectsRepeatedPattern(t *testing.T) {
 	m, err := NewMatcher([][]byte{[]byte("he"), []byte("she"), []byte("hers")}, WithEngine(EngineGeneral))
 	if err != nil {
@@ -179,52 +177,5 @@ func TestLoadRejectsRepeatedPattern(t *testing.T) {
 	var de *core.DuplicateError
 	if !errors.As(err, &de) || de.First != 1 || de.Second != 2 {
 		t.Fatalf("err = %v, want DuplicateError(1, 2)", err)
-	}
-}
-
-// TestLoadIgnoresStoredChain: a version-1 stream (no checksum) whose stored
-// chain is a cycle still loads; the chain comes from the patterns, so All
-// terminates with the true matches.
-func TestLoadIgnoresStoredChain(t *testing.T) {
-	pats := [][]byte{[]byte("a"), []byte("ab"), []byte("abc")}
-	m, err := NewMatcher(pats, WithEngine(EngineGeneral))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream, blob bytes.Buffer
-	if err := m.saveVersion(&stream, matcherVersionV1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.general.Save(&blob); err != nil {
-		t.Fatal(err)
-	}
-	// A version-1 stream ends with the engine payload. Walk its layout to
-	// the chain: a six-word header, the patterns and the prefix-name rows
-	// (one length-prefixed int32 array each per pattern), then the four
-	// name-indexed arrays before it.
-	raw := stream.Bytes()
-	off := len(raw) - blob.Len() + 6*4
-	for pass := 0; pass < 2; pass++ {
-		for _, p := range pats {
-			off += 4 + 4*len(p)
-		}
-	}
-	off += 4 * (4 + 4*m.general.NameCount())
-	if n := binary.LittleEndian.Uint32(raw[off:]); n != uint32(len(pats)) {
-		t.Fatalf("chain array length %d at offset %d, want %d", n, off, len(pats))
-	}
-	for i, link := range []int32{1, 2, 0} { // a -> ab -> abc -> a
-		binary.LittleEndian.PutUint32(raw[off+4+4*i:], uint32(link))
-	}
-	loaded, err := LoadMatcher(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("LoadMatcher: %v", err)
-	}
-	if want := []int32{-1, 0, 1}; !slices.Equal(loaded.nextShorter, want) {
-		t.Fatalf("chain %v, want %v", loaded.nextShorter, want)
-	}
-	r := loaded.Match([]byte("xabcx"))
-	if got := r.All(1, nil); !slices.Equal(got, []int{2, 1, 0}) {
-		t.Fatalf("All(1) = %v, want [2 1 0]", got)
 	}
 }

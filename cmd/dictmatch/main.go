@@ -4,6 +4,11 @@
 // stdin. For every text position with a match it prints the position and
 // the longest pattern (or all patterns with -all).
 //
+// With -compile it writes the dictionary's alphabet and pattern list in the
+// Save format and exits; -load reads such a file in place of -dict and
+// builds a general-engine matcher over it with the file's alphabet, every
+// other flag applying as with -dict.
+//
 // With -compress it writes the input as a .lzc compressed container and
 // exits; with -compressed it treats the input as such a container and
 // matches in the compressed domain (same output as matching the decoded
@@ -11,9 +16,10 @@
 //
 // Usage:
 //
-//	dictmatch -dict patterns.txt [-text input.txt] [-engine auto|general|smallalpha|equallength]
+//	dictmatch -dict patterns.txt | -load dict.pdm [-text input.txt]
+//	          [-engine auto|general|smallalpha|equallength]
 //	          [-alphabet acgt] [-collapse L] [-procs N] [-prefilter off|wide|auto]
-//	          [-all] [-stats] [-count] [-compressed] [-compress out.lzc]
+//	          [-all] [-stats] [-count] [-compressed] [-compress out.lzc] [-compile out.pdm]
 package main
 
 import (
@@ -59,8 +65,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		all        = fs.Bool("all", false, "print all patterns per position, not just the longest")
 		stats      = fs.Bool("stats", false, "print PRAM work/depth statistics")
 		countOn    = fs.Bool("count", false, "print only the number of matching positions")
-		compile    = fs.String("compile", "", "write the compiled dictionary to this file and exit")
-		load       = fs.String("load", "", "read a compiled dictionary instead of -dict")
+		compile    = fs.String("compile", "", "write the dictionary (Save format: alphabet and patterns) to this file and exit")
+		load       = fs.String("load", "", "read a dictionary written by -compile instead of -dict")
 		compressed = fs.Bool("compressed", false, "input is a .lzc container; match in the compressed domain")
 		compress   = fs.String("compress", "", "write the input text as a .lzc container to this file and exit")
 	)
@@ -115,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opts := []pardict.Option{pardict.WithParallelism(*procs)}
 	if *compile != "" && *engine == "auto" {
-		*engine = "general" // only the general engine is serializable
+		*engine = "general" // only general-engine matchers Save
 	}
 	switch *engine {
 	case "auto":
@@ -150,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if ferr != nil {
 			return describeFileErr(*load, ferr)
 		}
-		m, err = pardict.LoadMatcher(f, pardict.WithParallelism(*procs))
+		m, err = pardict.LoadMatcher(f, opts...)
 		f.Close()
 	} else {
 		m, err = pardict.NewMatcher(patterns, opts...)

@@ -117,6 +117,53 @@ func TestCLICompressedMatchesRaw(t *testing.T) {
 	}
 }
 
+// TestCLILoadMatchesDict: a dictionary written by -compile and read back
+// with -load prints what -dict prints under the same flags — the matches,
+// the engine and the preprocessing cost, since -load builds the matcher as
+// -dict does.
+func TestCLILoadMatchesDict(t *testing.T) {
+	dir := t.TempDir()
+	dict := filepath.Join(dir, "d.txt")
+	text := filepath.Join(dir, "t.txt")
+	pdm := filepath.Join(dir, "d.pdm")
+	if err := os.WriteFile(dict, []byte("he\nshe\nhis\nhers\nusher\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(text, []byte("ushers said his hers is hers"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runCLI(t, "-dict", dict, "-compile", pdm); err != nil {
+		t.Fatal(err)
+	}
+	flags := []string{"-text", text, "-prefilter", "wide", "-all", "-stats"}
+	wantOut, wantErr, err := runCLI(t, append([]string{"-dict", dict}, flags...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOut, gotErr, err := runCLI(t, append([]string{"-load", pdm}, flags...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOut != wantOut || wantOut == "" {
+		t.Fatalf("-load printed\n%s\n-dict printed\n%s", gotOut, wantOut)
+	}
+	for _, prefix := range []string{"engine=", "preprocess:"} {
+		if got, want := statsLine(gotErr, prefix), statsLine(wantErr, prefix); got != want || want == "" {
+			t.Fatalf("-load %q, -dict %q", got, want)
+		}
+	}
+}
+
+// statsLine returns the first line of s that starts with prefix.
+func statsLine(s, prefix string) string {
+	for _, line := range strings.Split(s, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	return ""
+}
+
 // TestCLIUsageErrors pins exit-code classification: flag mistakes are
 // errUsage, operational failures are not.
 func TestCLIUsageErrors(t *testing.T) {

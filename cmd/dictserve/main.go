@@ -1,5 +1,5 @@
 // Command dictserve exposes a sharded, online-updatable dictionary matcher
-// as an HTTP service: optionally seed a dictionary (plain or compiled) at
+// as an HTTP service: optionally seed a dictionary (plain or saved) at
 // startup, then POST text to /scan and mutate the pattern set live.
 //
 // Endpoints:
@@ -9,9 +9,10 @@
 //	POST   /scanbatch       body = {"texts": [...]}; scans pipelined in one call
 //	POST   /patterns        body = {"patterns": [...]}; online inserts
 //	DELETE /patterns        body = {"patterns": [...]}; online removals
-//	POST   /reload          body = compiled dictionary (Save format); atomic
-//	                        whole-dictionary swap, checksum-verified, fails
-//	                        closed with the old dictionary intact
+//	POST   /reload          body = saved dictionary (Save format, as written
+//	                        by dictmatch -compile); its pattern list replaces
+//	                        the dictionary atomically, checksum-verified,
+//	                        failing closed with the old dictionary intact
 //	POST   /stream                 open a tenant stream; 201 + {"id": ...}
 //	POST   /stream/{id}/feed       body = next bytes of the stream; 204, or
 //	                               429 when backpressure holds the body past
@@ -54,7 +55,7 @@
 // Usage:
 //
 //	dictserve -dict patterns.txt [-addr :8844] [-shards S] [-procs N]
-//	dictserve -load compiled.pdm
+//	dictserve -load saved.pdm
 //	dictserve                       (start empty; populate via /patterns)
 package main
 
@@ -79,7 +80,7 @@ func main() {
 	log.SetPrefix("dictserve: ")
 	var (
 		dictPath = flag.String("dict", "", "file with one pattern per line")
-		loadPath = flag.String("load", "", "compiled dictionary (see dictmatch -compile)")
+		loadPath = flag.String("load", "", "saved dictionary, written by dictmatch -compile")
 		addr     = flag.String("addr", ":8844", "listen address")
 		shards   = flag.Int("shards", 0, "dictionary partitions (0 = 2×GOMAXPROCS, capped at 32)")
 		procs    = flag.Int("procs", 0, "parallelism (0 = GOMAXPROCS)")
@@ -157,8 +158,9 @@ func run(ctx context.Context, hs *http.Server, ln net.Listener, drain time.Durat
 }
 
 // buildMatcher constructs the serving dictionary: seeded from a plain
-// pattern file, from a compiled Save-format file (checksum-verified), or —
-// with neither — empty, to be populated online via /patterns and /reload.
+// pattern file, from the pattern list of a Save-format file
+// (checksum-verified), or — with neither — empty, to be populated online via
+// /patterns and /reload.
 func buildMatcher(dictPath, loadPath string, procs, shards int, phase pardict.WritePhase) (*pardict.ShardedMatcher, error) {
 	m, err := pardict.NewShardedMatcher(
 		pardict.WithParallelism(procs), pardict.WithShards(shards),

@@ -429,10 +429,11 @@ func (s *server) handlePatterns(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, out)
 }
 
-// handleReload atomically replaces the whole dictionary from a Save-format
-// body (see Matcher.Save / dictmatch -compile). The body is fully parsed and
-// checksum-verified before any state changes, so a corrupt or truncated
-// upload fails closed with the old dictionary still serving.
+// handleReload atomically replaces the whole dictionary with the pattern
+// list of a Save-format body (see Matcher.Save / dictmatch -compile). The
+// body is fully read and checksum-verified before any state changes, so a
+// corrupt or truncated upload fails closed with the old dictionary still
+// serving.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return httpError(w, "POST required", http.StatusMethodNotAllowed)

@@ -81,10 +81,10 @@ type Dict struct {
 	// EnablePrefilter). Execution-layer only: never part of Work/Depth.
 	filter *prefilter.Filter
 	// filterWide selects the wide-lane (8 positions/step, folded 8-bit
-	// bucket) kernel over the scalar SWAR screen. The wide kernel admits a
-	// superset of the scalar survivors (folding merges buckets mod 8), so
-	// it is interchangeable at the output level: both are one-sided, and
-	// the cascade verifies every survivor.
+	// bucket) kernel over the scalar SWAR screen. The two screens admit
+	// different survivors (neither set contains the other), but both are
+	// one-sided and the cascade verifies every survivor, so they are
+	// interchangeable at the output level.
 	filterWide bool
 
 	// Lazily built map-table baseline for the E15 hot-path experiment.
@@ -105,8 +105,9 @@ func (d *Dict) EnablePrefilter() {
 // EnablePrefilterWide is EnablePrefilter selecting the wide-lane kernel:
 // eight text positions screened per step against folded 8-bit bucket masks
 // (prefilter.ScanWordsWide). Output and Work/Depth are identical to the
-// scalar filter — the wide screen passes a superset of the scalar survivors
-// and the cascade rejects every false positive — only wall clock changes.
+// scalar filter — both screens are one-sided, passing every true pattern
+// start, and the cascade rejects every false positive either lets through —
+// only wall clock changes.
 func (d *Dict) EnablePrefilterWide() {
 	d.filter = prefilter.Build(d.patterns)
 	d.filterWide = d.filter != nil

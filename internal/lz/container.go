@@ -104,8 +104,10 @@ func Load(r io.Reader) (*Text, error) {
 	if plen > maxLen {
 		return nil, fmt.Errorf("%w: implausible payload length", ErrCorrupt)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The payload grows as its bytes arrive, so a forged length costs memory
+	// in proportion to the bytes actually sent.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(plen)))
+	if err != nil || uint64(len(payload)) != plen {
 		return nil, fmt.Errorf("%w: short payload", ErrCorrupt)
 	}
 	var tail [4]byte
@@ -133,7 +135,9 @@ func parsePayload(payload []byte) (*Text, error) {
 	}
 	n, ok1 := get()
 	z, ok2 := get()
-	if !ok1 || !ok2 || n > maxLen || z > n || (n > 0 && z == 0) {
+	// Every phrase costs at least one payload byte, so the bytes left bound
+	// z before anything is allocated for it.
+	if !ok1 || !ok2 || n > maxLen || z > n || z > uint64(len(payload)-pos) || (n > 0 && z == 0) {
 		return nil, fmt.Errorf("%w: bad dimensions", ErrCorrupt)
 	}
 	t := &Text{

@@ -2,7 +2,10 @@ package pardict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -57,6 +60,71 @@ func FuzzLZRoundTrip(f *testing.F) {
 				if _, err := LoadCompressedText(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSave) {
 					t.Fatalf("corrupted container: err = %v, want ErrCorruptSave", err)
 				}
+			}
+		}
+	})
+}
+
+// lzContainer wraps payload in a .lzc container whose header claims a
+// payload of claimed bytes, with the magic and version of a Save and a
+// checksum over the result, so the payload parser, not the CRC, meets it.
+func lzContainer(claimed uint64, payload []byte) []byte {
+	var saved bytes.Buffer
+	if err := Compress(nil).Save(&saved); err != nil {
+		panic(err)
+	}
+	b := append(saved.Bytes()[:5:5], binary.LittleEndian.AppendUint64(nil, claimed)...)
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// FuzzLZPayload hands the .lzc payload parser arbitrary bytes behind a valid
+// header and checksum. LoadCompressedText must fail with ErrCorruptSave or
+// return a text whose Decode has Len() bytes, and MatchCompressed over it
+// must equal Match over Decode on a small fixed dictionary. Texts over 1 MiB
+// are skipped before decoding: one copy phrase may claim 2^31 bytes.
+func FuzzLZPayload(f *testing.F) {
+	for _, text := range []string{"", "x", "abcabcabcabcabcabcabc", "the quick brown fox jumps; the quick brown fox jumps"} {
+		var buf bytes.Buffer
+		if err := Compress([]byte(text)).Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		blob := buf.Bytes()
+		f.Add(blob[13 : len(blob)-4])
+	}
+	m, err := NewMatcher(bs("ab", "abc", "bca", "cab", "x", "the quick"), WithEngine(EngineGeneral))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ct, err := LoadCompressedText(bytes.NewReader(lzContainer(uint64(len(payload)), payload)))
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSave) {
+				t.Fatalf("err = %v, want ErrCorruptSave", err)
+			}
+			return
+		}
+		if ct.Len() > 1<<20 {
+			return
+		}
+		text := ct.Decode()
+		if len(text) != ct.Len() {
+			t.Fatalf("Decode has %d bytes, Len %d", len(text), ct.Len())
+		}
+		got, want := m.MatchCompressed(ct), m.Match(text)
+		if got.Len() != want.Len() {
+			t.Fatalf("MatchCompressed Len %d, Match %d", got.Len(), want.Len())
+		}
+		var all, wantAll []int
+		for i := 0; i < want.Len(); i++ {
+			p, ok := got.Longest(i)
+			wp, wok := want.Longest(i)
+			if p != wp || ok != wok {
+				t.Fatalf("pos %d: MatchCompressed %d,%v, Match %d,%v", i, p, ok, wp, wok)
+			}
+			all, wantAll = got.All(i, all[:0]), want.All(i, wantAll[:0])
+			if !slices.Equal(all, wantAll) {
+				t.Fatalf("pos %d: MatchCompressed All %v, Match %v", i, all, wantAll)
 			}
 		}
 	})

@@ -2,7 +2,9 @@ package pardict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +113,33 @@ func TestCompressedTextSaveLoad(t *testing.T) {
 // TestMatchCompressedEquivalenceSmoke is the quick in-package equivalence
 // check (the full sweep lives in differential_test.go): empty text, text
 // shorter than MaxLen, and a no-pattern-dictionary-free redundant case.
+// TestLoadCompressedAllocatesByBytesRead feeds LoadCompressedText
+// containers with valid checksums whose header or phrase count claims far
+// more than the bytes sent, and requires ErrCorruptSave with under 1 MiB
+// allocated.
+func TestLoadCompressedAllocatesByBytesRead(t *testing.T) {
+	phrases := binary.AppendUvarint(binary.AppendUvarint(nil, 1<<22), 1<<22) // n, z
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"2^22 phrases", lzContainer(uint64(len(phrases)), phrases)},
+		{"payload of 2^24 bytes", lzContainer(1<<24, nil)},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadCompressedText(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptSave) {
+			t.Fatalf("%s: err = %v, want ErrCorruptSave", c.name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Fatalf("%s: allocated %d bytes for a %d-byte container", c.name, d, len(c.data))
+		}
+	}
+}
+
 func TestMatchCompressedEdgeCases(t *testing.T) {
 	m, err := NewMatcher([][]byte{[]byte("abcab"), []byte("ab"), []byte("b")})
 	if err != nil {

@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
-	"pardict/internal/core"
 	"pardict/internal/workload"
 )
 
@@ -102,6 +109,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: garbage accepted", i)
 		}
 	}
+	// Version 1 carried no checksum; it is refused, not parsed.
+	v1 := leWords(matcherMagic, 1, 0, 1, 2, 'h'|'e'<<8)
+	if _, err := LoadMatcher(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 stream: err = %v, want unsupported version", err)
+	}
 }
 
 func TestLoadRejectsTruncation(t *testing.T) {
@@ -114,9 +126,9 @@ func TestLoadRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{1, len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, err := LoadMatcher(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := LoadMatcher(bytes.NewReader(full[:cut])); !errors.Is(err, ErrCorruptSave) {
+			t.Fatalf("truncation at %d: err = %v, want ErrCorruptSave", cut, err)
 		}
 	}
 }
@@ -140,6 +152,9 @@ func TestSaveLoadEmptyDictionary(t *testing.T) {
 	}
 }
 
+// TestSaveFormatV2Checksum checks the trailing CRC-32, introduced by
+// version 2, on a stream Save writes and on a version-2 stream with an
+// engine section.
 func TestSaveFormatV2Checksum(t *testing.T) {
 	m, err := NewMatcher([][]byte{[]byte("he"), []byte("she"), []byte("hers")}, WithEngine(EngineGeneral))
 	if err != nil {
@@ -149,65 +164,35 @@ func TestSaveFormatV2Checksum(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
+	for _, full := range [][]byte{buf.Bytes(), v2Stream(nil, []string{"he", "she", "hers"}, []byte("engine"))} {
+		// A pristine stream loads.
+		if _, err := LoadMatcher(bytes.NewReader(full)); err != nil {
+			t.Fatalf("pristine load: %v", err)
+		}
 
-	// A pristine stream loads.
-	if _, err := LoadMatcher(bytes.NewReader(full)); err != nil {
-		t.Fatalf("pristine v2 load: %v", err)
-	}
-
-	// Corrupting the trailing checksum itself is caught.
-	bad := append([]byte(nil), full...)
-	bad[len(bad)-1] ^= 0xff
-	if _, err := LoadMatcher(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSave) {
-		t.Fatalf("flipped checksum: err = %v, want ErrCorruptSave", err)
-	}
-
-	// Flipping any payload byte past the version field must be rejected —
-	// either as a parse failure or as a checksum mismatch, never accepted.
-	for pos := 8; pos < len(full)-4; pos += 7 {
+		// Corrupting the trailing checksum itself is caught.
 		bad := append([]byte(nil), full...)
-		bad[pos] ^= 0x55
-		if _, err := LoadMatcher(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("corruption at byte %d accepted", pos)
+		bad[len(bad)-1] ^= 0xff
+		if _, err := LoadMatcher(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSave) {
+			t.Fatalf("flipped checksum: err = %v, want ErrCorruptSave", err)
 		}
-	}
 
-	// Truncating the checksum (or part of it) fails closed.
-	for cut := 1; cut <= 4; cut++ {
-		if _, err := LoadMatcher(bytes.NewReader(full[:len(full)-cut])); err == nil {
-			t.Fatalf("stream short %d checksum bytes accepted", cut)
+		// Flipping any payload byte past the version field must be rejected —
+		// either as a parse failure or as a checksum mismatch, never accepted.
+		for pos := 8; pos < len(full)-4; pos += 7 {
+			bad := append([]byte(nil), full...)
+			bad[pos] ^= 0x55
+			if _, err := LoadMatcher(bytes.NewReader(bad)); err == nil {
+				t.Fatalf("corruption at byte %d accepted", pos)
+			}
 		}
-	}
-}
 
-func TestSaveFormatV1LegacyLoad(t *testing.T) {
-	pats := [][]byte{[]byte("acgt"), []byte("gat"), []byte("ga")}
-	m, err := NewMatcher(pats, WithEngine(EngineGeneral), WithAlphabet([]byte("acgt")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := m.saveVersion(&v1, matcherVersionV1); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := m.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(v1.Bytes(), v2.Bytes()) {
-		t.Fatal("v1 and v2 streams identical; version/checksum not written")
-	}
-	loaded, err := LoadMatcher(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy v1 load: %v", err)
-	}
-	if loaded.PatternCount() != 3 {
-		t.Fatalf("legacy load pattern count %d", loaded.PatternCount())
-	}
-	r := loaded.Match([]byte("xgatx"))
-	if p, ok := r.Longest(1); !ok || p != 1 {
-		t.Fatalf("legacy-loaded matcher broken: %d %v", p, ok)
+		// Truncating the checksum (or part of it) fails closed.
+		for cut := 1; cut <= 4; cut++ {
+			if _, err := LoadMatcher(bytes.NewReader(full[:len(full)-cut])); err == nil {
+				t.Fatalf("stream short %d checksum bytes accepted", cut)
+			}
+		}
 	}
 }
 
@@ -221,7 +206,7 @@ func TestSaveV2EmptyDictionaryChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := LoadMatcher(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("empty v2 load: %v", err)
+		t.Fatalf("empty load: %v", err)
 	}
 	bad := append([]byte(nil), buf.Bytes()...)
 	bad[len(bad)-2] ^= 1
@@ -232,29 +217,16 @@ func TestSaveV2EmptyDictionaryChecksum(t *testing.T) {
 
 // TestLoadAllocatesByBytesRead feeds LoadMatcher short streams whose counts
 // and lengths claim far more data than follows — as a forged /reload body
-// would — and requires an error with under 1 MiB allocated, in both the
-// matcher's own sections and the engine payload.
+// would — and requires an error with under 1 MiB allocated, in the pattern
+// list and in a version-2 engine section.
 func TestLoadAllocatesByBytesRead(t *testing.T) {
-	le := func(words ...uint64) []byte {
-		var b []byte
-		for _, w := range words {
-			b = binary.LittleEndian.AppendUint32(b, uint32(w))
-		}
-		return b
-	}
-	// A version-1 engine payload starts with its own header: magic,
-	// version, maxLen, levels, nameCount and pattern count.
-	const dictMagic, dictVersion = 0x70644431, 1
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"2^28 patterns", le(matcherMagic, matcherVersion, 0, 1<<28)},
-		{"pattern of 2^28 bytes", le(matcherMagic, matcherVersion, 0, 1, 1<<28)},
-		{"engine payload of 2^31 bytes", binary.LittleEndian.AppendUint64(le(matcherMagic, matcherVersion, 0, 0), 1<<31)},
-		{"engine with 2^31 patterns", le(matcherMagic, matcherVersionV1, 0, 0, dictMagic, dictVersion, 1, 1, 0, 1<<31)},
-		{"engine array of 2^28", le(matcherMagic, matcherVersionV1, 0, 0, dictMagic, dictVersion, 1, 1, 0, 1, 1<<28)},
-		{"engine table of 2^28", le(matcherMagic, matcherVersionV1, 0, 0, dictMagic, dictVersion, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1<<28)},
+		{"2^28 patterns", leWords(matcherMagic, matcherVersion, 0, 1<<28)},
+		{"pattern of 2^28 bytes", leWords(matcherMagic, matcherVersion, 0, 1, 1<<28)},
+		{"engine section of 2^31 bytes", binary.LittleEndian.AppendUint64(leWords(matcherMagic, matcherVersionV2, 0, 0), 1<<31)},
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats
@@ -270,31 +242,213 @@ func TestLoadAllocatesByBytesRead(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsForeignEngine: a checksummed stream whose engine payload
-// compiles more patterns than its pattern list must not load — All would
-// index the list's chain with the engine's pattern ids.
-func TestLoadRejectsForeignEngine(t *testing.T) {
-	m, err := NewMatcher([][]byte{[]byte("he"), []byte("she"), []byte("hers")}, WithEngine(EngineGeneral))
+// leWords encodes words as consecutive little-endian uint32s.
+func leWords(words ...uint32) []byte {
+	var b []byte
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// v2Stream builds a version-2 stream, the format Save wrote while it still
+// shipped the compiled tables: the version-3 sections, then engine as a
+// length-prefixed engine section, then the CRC-32.
+func v2Stream(sigma []byte, patterns []string, engine []byte) []byte {
+	b := leWords(matcherMagic, matcherVersionV2, uint32(len(sigma)))
+	b = append(b, sigma...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(patterns)))
+	for _, p := range patterns {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = append(b, p...)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(engine)))
+	b = append(b, engine...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestLoadVersion2SkipsEngineSection: a version-2 stream loads to exactly
+// its pattern list whatever its engine section holds, and the checksum still
+// covers that section.
+func TestLoadVersion2SkipsEngineSection(t *testing.T) {
+	pats := []string{"ab", "abc", "de"}
+	junk := bytes.Repeat([]byte{0xA5, 0x5A, 0xFF}, 100)
+	stream := v2Stream(nil, pats, junk)
+	m, err := LoadMatcher(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.patterns = m.patterns[:2]
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil { // Save recomputes the checksum
+	if m.PatternCount() != len(pats) {
+		t.Fatalf("%d patterns, want %d", m.PatternCount(), len(pats))
+	}
+	for i, p := range pats {
+		if string(m.Pattern(i)) != p {
+			t.Fatalf("pattern %d is %q, want %q", i, m.Pattern(i), p)
+		}
+	}
+	r := m.Match([]byte("xabcxdex"))
+	if p, ok := r.Longest(1); !ok || p != 1 {
+		t.Fatalf("Longest(1) = %d,%v, want abc", p, ok)
+	}
+	if p, ok := r.Longest(5); !ok || p != 2 {
+		t.Fatalf("Longest(5) = %d,%v, want de", p, ok)
+	}
+	sharded := newSharded(t)
+	if err := sharded.ReloadSaved(bytes.NewReader(stream)); err != nil || sharded.Len() != len(pats) {
+		t.Fatalf("ReloadSaved: %v, %d patterns", err, sharded.Len())
+	}
+
+	engineAt := len(stream) - 4 - len(junk)
+	for _, at := range []int{engineAt, engineAt + len(junk)/2, len(stream) - 5} {
+		bad := bytes.Clone(stream)
+		bad[at] ^= 1
+		if _, err := LoadMatcher(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSave) {
+			t.Fatalf("flip at %d of the engine section: err = %v, want ErrCorruptSave", at-engineAt, err)
+		}
+	}
+	if _, err := LoadMatcher(bytes.NewReader(stream[:engineAt+len(junk)/2])); !errors.Is(err, ErrCorruptSave) {
+		t.Fatalf("stream cut inside the engine section: err = %v, want ErrCorruptSave", err)
+	}
+}
+
+// fuzzSeed reads a checked-in FuzzLoadMatcher seed.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadMatcher", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadMatcher(&buf); !errors.Is(err, core.ErrBadFormat) {
-		t.Fatalf("err = %v, want core.ErrBadFormat", err)
+	const head = "go test fuzz v1\n[]byte("
+	s := strings.TrimSpace(string(raw))
+	if !strings.HasPrefix(s, head) || !strings.HasSuffix(s, ")") {
+		t.Fatalf("%s: not a []byte seed", name)
+	}
+	lit, err := strconv.Unquote(s[len(head) : len(s)-1])
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(lit)
+}
+
+// TestLoadVersion2Seeds: the checked-in version-2 streams, written by Save
+// when it shipped the compiled tables, load to their pattern lists and
+// alphabets and match as NewMatcher does over them.
+func TestLoadVersion2Seeds(t *testing.T) {
+	for _, c := range []struct {
+		seed  string
+		sigma string
+		pats  []string
+	}{
+		{"v2-stream", "", []string{"he", "she", "his", "hers"}},
+		{"v2-stream-alphabet", "acgt", []string{"acgt", "gat", "ga"}},
+	} {
+		data := fuzzSeed(t, c.seed)
+		m, err := LoadMatcher(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+		if string(m.cfg.sigma) != c.sigma {
+			t.Fatalf("%s: alphabet %q, want %q", c.seed, m.cfg.sigma, c.sigma)
+		}
+		pats := make([][]byte, len(c.pats))
+		for i, p := range c.pats {
+			pats[i] = []byte(p)
+		}
+		if got := m.patterns; !slices.EqualFunc(got, pats, bytes.Equal) {
+			t.Fatalf("%s: patterns %q, want %q", c.seed, got, pats)
+		}
+		if err := agreesWithNewMatcher(m, []byte("ushers gattaca xacgtga "+c.sigma)); err != nil {
+			t.Fatalf("%s: %v", c.seed, err)
+		}
+	}
+}
+
+// agreesWithNewMatcher compares m's Longest and All at every position of
+// text with those of NewMatcher over m's pattern list and alphabet.
+func agreesWithNewMatcher(m *Matcher, text []byte) error {
+	want, err := NewMatcher(m.patterns, WithAlphabet(m.cfg.sigma), WithEngine(EngineGeneral))
+	if err != nil {
+		return fmt.Errorf("NewMatcher over the loaded patterns: %w", err)
+	}
+	got, ref := m.Match(text), want.Match(text)
+	var all, refAll []int
+	for i := 0; i < ref.Len(); i++ {
+		p, ok := got.Longest(i)
+		rp, rok := ref.Longest(i)
+		if p != rp || ok != rok {
+			return fmt.Errorf("pos %d: Longest %d,%v, NewMatcher %d,%v", i, p, ok, rp, rok)
+		}
+		all, refAll = got.All(i, all[:0]), ref.All(i, refAll[:0])
+		if !slices.Equal(all, refAll) {
+			return fmt.Errorf("pos %d: All %v, NewMatcher %v", i, all, refAll)
+		}
+	}
+	return nil
+}
+
+// TestLoadMatcherOptions: LoadMatcher applies the caller's options as
+// NewMatcher does, except the engine and alphabet, which the stream sets.
+func TestLoadMatcherOptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var pats [][]byte
+	for i := 0; i < 10; i++ {
+		p := make([]byte, 12)
+		rng.Read(p)
+		pats = append(pats, p)
+	}
+	m, err := NewMatcher(pats, WithEngine(EngineGeneral))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := []byte("hello world")
+	plain, err := LoadMatcher(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := plain.Match(text).PrefixLen(0); !ok {
+		t.Fatal("unfiltered load withholds PrefixLen")
+	}
+	filtered, err := LoadMatcher(bytes.NewReader(buf.Bytes()), WithPrefilter(PrefilterOn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := filtered.Match(text).PrefixLen(0); ok {
+		t.Fatal("LoadMatcher ignored WithPrefilter(PrefilterOn): PrefixLen reported")
+	}
+
+	dna, err := NewMatcher([][]byte{[]byte("acgt"), []byte("gat")}, WithEngine(EngineGeneral), WithAlphabet([]byte("acgt")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := dna.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadMatcher(&buf, WithEngine(EngineSmallAlphabet), WithAlphabet([]byte("xyz")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Engine() != EngineGeneral || string(loaded.cfg.sigma) != "acgt" {
+		t.Fatalf("engine %v, alphabet %q: the stream's must win", loaded.Engine(), loaded.cfg.sigma)
+	}
+	if p, ok := loaded.Match([]byte("xgatx")).Longest(1); !ok || p != 1 {
+		t.Fatalf("Longest(1) = %d,%v, want gat", p, ok)
 	}
 }
 
 // FuzzLoadMatcher feeds LoadMatcher arbitrary bytes, as /reload does with a
-// request body. It must return an error or a matcher, never panic or abort;
-// a stream it accepts must match (Longest and All at every position of a
-// text holding the input and every pattern) and round-trip its pattern list
-// through Save. The checked-in seeds are a version-2 stream, a version-1
-// stream, a header declaring 2^28 patterns, and a version-2 stream whose
-// last down-table value is 1<<20 under a recomputed checksum.
+// request body. It must return an error or a matcher, never panic or abort.
+// A stream it accepts must give, at every position of a text holding the
+// input and every pattern, the Longest and All of NewMatcher over the loaded
+// pattern list and alphabet, and must round-trip that list through Save. The
+// checked-in seeds are version-2 streams without and with an alphabet, a
+// version-1 stream, a header declaring 2^28 patterns, a version-2 stream
+// whose last down-table value is 1<<20 and one whose lp table is permuted,
+// both under a recomputed checksum.
 func FuzzLoadMatcher(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadMatcher(bytes.NewReader(data))
@@ -302,14 +456,11 @@ func FuzzLoadMatcher(f *testing.F) {
 			return
 		}
 		text := append([]byte(nil), data...)
-		for i := 0; i < m.PatternCount(); i++ {
-			text = append(text, m.Pattern(i)...)
+		for _, p := range m.patterns {
+			text = append(text, p...)
 		}
-		r := m.Match(text)
-		var all []int
-		for i := 0; i < r.Len(); i++ {
-			r.Longest(i)
-			all = r.All(i, all[:0])
+		if err := agreesWithNewMatcher(m, text); err != nil {
+			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
@@ -319,13 +470,8 @@ func FuzzLoadMatcher(f *testing.F) {
 		if err != nil {
 			t.Fatalf("load of a fresh save: %v", err)
 		}
-		if again.PatternCount() != m.PatternCount() {
-			t.Fatalf("round trip: %d patterns, want %d", again.PatternCount(), m.PatternCount())
-		}
-		for i := 0; i < m.PatternCount(); i++ {
-			if !bytes.Equal(again.Pattern(i), m.Pattern(i)) {
-				t.Fatalf("round trip: pattern %d is %q, want %q", i, again.Pattern(i), m.Pattern(i))
-			}
+		if !slices.EqualFunc(again.patterns, m.patterns, bytes.Equal) || !bytes.Equal(again.cfg.sigma, m.cfg.sigma) {
+			t.Fatalf("round trip: %q over %q, want %q over %q", again.patterns, again.cfg.sigma, m.patterns, m.cfg.sigma)
 		}
 	})
 }

@@ -189,21 +189,16 @@ func (m *ShardedMatcher) Reload(patterns [][]byte) error {
 	return shardErr(m.set.Replace(raws, encs))
 }
 
-// ReloadSaved is Reload from a Save-format stream: the body is fully parsed
-// and checksum-verified (via LoadMatcher) before any state changes, so a
+// ReloadSaved is Reload from the pattern list of a Save-format stream: the
+// body is fully read and checksum-verified before any state changes, so a
 // corrupt or truncated stream fails closed with the old dictionary intact.
-// The stream's alphabet option is applied for validation only; the sharded
-// matcher keeps its own configured alphabet.
+// The stream's alphabet is not used; the sharded matcher keeps its own.
 func (m *ShardedMatcher) ReloadSaved(r io.Reader) error {
-	lm, err := LoadMatcher(r)
+	_, patterns, err := readSaved(r)
 	if err != nil {
 		return err
 	}
-	pats := make([][]byte, lm.PatternCount())
-	for i := range pats {
-		pats[i] = lm.Pattern(i)
-	}
-	return m.Reload(pats)
+	return m.Reload(patterns)
 }
 
 // Reconcile synchronously folds every shard's pending log into its compiled
