@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"pardict/internal/alpha"
 	"pardict/internal/benchrow"
 	"pardict/internal/core"
 )
@@ -17,7 +18,10 @@ import (
 //   - map:            every table probe through a Go map (the pre-freeze
 //     representation, core.Dict.BaselineMapMatch);
 //   - frozen:         the flat open-addressed fingerprint tables;
-//   - frozen+prefilter: frozen tables behind the rare-byte screen.
+//   - frozen+prefilter: frozen tables behind the rare-byte screen, the
+//     shipped filtered path (core.Dict.MatchBytesInto): it screens the raw
+//     text bytes and encodes only the windows its cascade scans. The other
+//     two arms scan the same text encoded.
 //
 // The hit-rate axis plants real pattern occurrences at increasing density:
 // the prefilter pays off on low-hit text (it screens almost everything) and
@@ -46,14 +50,18 @@ func e15() {
 
 	fmt.Printf("%18s %10s %10s %12s %10s\n", "arm", "hit-rate", "n", "ns/byte", "MB/s")
 	for _, rate := range rates {
-		text := make([]int32, n)
-		for j := range text {
-			text[j] = int32(rng.Intn(256))
+		raw := make([]byte, n)
+		for j := range raw {
+			raw[j] = byte(rng.Intn(256))
 		}
 		for planted := 0; planted < int(rate*float64(n)); planted++ {
 			p := patterns[rng.Intn(len(patterns))]
-			copy(text[rng.Intn(n-len(p)):], p)
+			at := rng.Intn(n - len(p))
+			for k, s := range p {
+				raw[at+k] = byte(s)
+			}
 		}
+		text := encodeBytes(raw)
 
 		measure := func(table string, pref bool, run func()) {
 			run() // warm pools and caches
@@ -71,8 +79,8 @@ func e15() {
 		r := &core.Result{}
 		d.DisablePrefilter()
 		measure("frozen", false, func() { d.MatchInto(c, text, r) })
-		d.EnablePrefilter()
-		measure("frozen", true, func() { d.MatchInto(c, text, r) })
+		d.EnablePrefilter(alpha.NewByteEncoder())
+		measure("frozen", true, func() { d.MatchBytesInto(c, raw, r) })
 		d.DisablePrefilter()
 		r.Release()
 	}

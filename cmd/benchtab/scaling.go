@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"pardict"
+	"pardict/internal/alpha"
 	"pardict/internal/benchrow"
 	"pardict/internal/core"
 	"pardict/internal/pram"
@@ -21,10 +22,12 @@ var scalePin = flag.Bool("scalepin", false,
 		"mask per level (Linux best-effort; see affinity_linux.go)")
 
 // E18 arm names. The scan arms run the full shrink-and-spawn cascade on the
-// general engine with the prefilter off / scalar / wide; the shard arm runs
-// the sharded matcher end to end (scatter, per-shard scan, gather); the
-// kernel arms time the two prefilter screens alone, single-threaded, and
-// exist to pin the wide-vs-scalar kernel ratio independent of cascade cost.
+// general engine with the prefilter off / scalar / wide: scan-off over the
+// encoded text, the filtered arms through the shipped byte entry
+// (core.Dict.MatchBytesInto) over the raw text. The shard arm runs the
+// sharded matcher end to end (scatter, per-shard scan, gather); the kernel
+// arms time the two byte screens alone, single-threaded, and exist to pin
+// the wide-vs-scalar kernel ratio independent of cascade cost.
 const (
 	armScanOff      = "scan-off"
 	armScanScalar   = "scan-scalar"
@@ -118,15 +121,15 @@ func e18() {
 	// Kernel arms: single-threaded, low-hit text, full word range per run.
 	{
 		pf := prefilter.Build(intPats)
-		text := intTexts[0]
+		text := byteTexts[0]
 		words := (len(text) + 63) / 64
 		out := make([]uint64, words)
 		for _, k := range []struct {
 			arm string
 			run func()
 		}{
-			{armKernelScalar, func() { pf.ScanWords(text, out, 0, words) }},
-			{armKernelWide, func() { pf.ScanWordsWide(text, out, 0, words) }},
+			{armKernelScalar, func() { pf.ScanBytes(text, out, 0, words) }},
+			{armKernelWide, func() { pf.ScanBytesWide(text, out, 0, words) }},
 		} {
 			k.run()
 			emit(k.arm, 0, 1, perByte(n, bestOf(reps, k.run)))
@@ -149,20 +152,24 @@ func e18() {
 		for _, rate := range rates {
 			// Cascade arms share one frozen dictionary; each level gets a
 			// fresh pool so the balance/steal deltas are per-cell.
+			byteEnc := alpha.NewByteEncoder()
 			for _, arm := range []struct {
 				name  string
 				setup func()
 			}{
 				{armScanOff, d.DisablePrefilter},
-				{armScanScalar, d.EnablePrefilter},
-				{armScanWide, d.EnablePrefilterWide},
+				{armScanScalar, func() { d.EnablePrefilter(byteEnc) }},
+				{armScanWide, func() { d.EnablePrefilterWide(byteEnc) }},
 			} {
 				arm.setup()
 				pool := pram.NewPool(g)
 				c := pram.NewCtx(nil, pool)
 				r := &core.Result{}
-				text := intTexts[rate]
-				run := func() { d.MatchInto(c, text, r) }
+				run := func() { d.MatchBytesInto(c, byteTexts[rate], r) }
+				if arm.name == armScanOff {
+					text := intTexts[rate]
+					run = func() { d.MatchInto(c, text, r) }
+				}
 				emit(arm.name, rate, g, measureScale(n, reps, run,
 					pool.WorkerChunks, func() int64 { return pool.Stats().Steals }))
 				r.Release()

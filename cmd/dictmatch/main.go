@@ -6,8 +6,9 @@
 //
 // With -compile it writes the dictionary's alphabet and pattern list in the
 // Save format and exits; -load reads such a file in place of -dict and
-// builds a general-engine matcher over it with the file's alphabet, every
-// other flag applying as with -dict.
+// builds a general-engine matcher over it with the file's alphabet, so it
+// refuses -alphabet, -collapse and an -engine other than auto or general as
+// usage errors; every other flag applies as with -dict.
 //
 // With -compress it writes the input as a .lzc compressed container and
 // exits; with -compressed it treats the input as such a container and
@@ -19,6 +20,7 @@
 //	dictmatch -dict patterns.txt | -load dict.pdm [-text input.txt]
 //	          [-engine auto|general|smallalpha|equallength]
 //	          [-alphabet acgt] [-collapse L] [-procs N] [-prefilter off|wide|auto]
+//	          (with -load: no -alphabet, no -collapse, -engine auto|general)
 //	          [-all] [-stats] [-count] [-compressed] [-compress out.lzc] [-compile out.pdm]
 package main
 
@@ -66,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		stats      = fs.Bool("stats", false, "print PRAM work/depth statistics")
 		countOn    = fs.Bool("count", false, "print only the number of matching positions")
 		compile    = fs.String("compile", "", "write the dictionary (Save format: alphabet and patterns) to this file and exit")
-		load       = fs.String("load", "", "read a dictionary written by -compile instead of -dict")
+		load       = fs.String("load", "", "read a dictionary written by -compile instead of -dict; it keeps its alphabet and the general engine, so -alphabet, -collapse and -engine other than auto|general are refused")
 		compressed = fs.Bool("compressed", false, "input is a .lzc container; match in the compressed domain")
 		compress   = fs.String("compress", "", "write the input text as a .lzc container to this file and exit")
 	)
@@ -76,6 +78,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *dictPath == "" && *load == "" && *compress == "" {
 		fs.Usage()
 		return fmt.Errorf("%w: one of -dict, -load, or -compress is required", errUsage)
+	}
+	if *load != "" {
+		// A loaded dictionary carries its alphabet and runs the general
+		// engine, so these flags would do nothing.
+		switch {
+		case *alphabet != "":
+			return fmt.Errorf("%w: -alphabet cannot be used with -load: the saved dictionary carries its alphabet", errUsage)
+		case *collapse != 0:
+			return fmt.Errorf("%w: -collapse cannot be used with -load: a loaded dictionary runs the general engine", errUsage)
+		case *engine != "auto" && *engine != "general":
+			return fmt.Errorf("%w: -engine %s cannot be used with -load: a loaded dictionary runs the general engine", errUsage, *engine)
+		}
 	}
 
 	var patterns [][]byte

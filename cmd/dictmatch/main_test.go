@@ -154,6 +154,49 @@ func TestCLILoadMatchesDict(t *testing.T) {
 	}
 }
 
+// TestCLILoadRefusesEngineFlags: a loaded dictionary takes its alphabet and
+// the general engine from the file, so -load turns -alphabet, -collapse and
+// an -engine other than auto or general into usage errors naming the flag,
+// instead of ignoring them.
+func TestCLILoadRefusesEngineFlags(t *testing.T) {
+	dir := t.TempDir()
+	dict := filepath.Join(dir, "d.txt")
+	text := filepath.Join(dir, "t.txt")
+	pdm := filepath.Join(dir, "d.pdm")
+	if err := os.WriteFile(dict, []byte("ac\ngt\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(text, []byte("acgtacgt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runCLI(t, "-dict", dict, "-compile", pdm); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-alphabet", []string{"-alphabet", "acgt"}},
+		{"-collapse", []string{"-collapse", "2"}},
+		{"-engine", []string{"-engine", "smallalpha"}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			_, _, err := runCLI(t, append([]string{"-load", pdm, "-text", text}, tc.args...)...)
+			if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.flag) {
+				t.Fatalf("-load %v: %v, want a usage error naming %s", tc.args, err, tc.flag)
+			}
+			if _, _, err := runCLI(t, append([]string{"-dict", dict, "-text", text}, tc.args...)...); err != nil {
+				t.Fatalf("-dict %v: %v", tc.args, err)
+			}
+		})
+	}
+	for _, engine := range []string{"auto", "general"} {
+		if _, _, err := runCLI(t, "-load", pdm, "-text", text, "-engine", engine); err != nil {
+			t.Fatalf("-load -engine %s: %v", engine, err)
+		}
+	}
+}
+
 // statsLine returns the first line of s that starts with prefix.
 func statsLine(s, prefix string) string {
 	for _, line := range strings.Split(s, "\n") {

@@ -12,9 +12,11 @@ import (
 )
 
 // FuzzMatchOracle decodes fuzz input as (dictionary ‖ 0xFF ‖ text) with
-// 0xFE-separated patterns and differentially tests every applicable engine
-// against Aho–Corasick. `go test` runs the seed corpus; `go test -fuzz
-// FuzzMatchOracle` explores further.
+// 0xFE-separated patterns and differentially tests every applicable engine,
+// and the general engine behind either prefilter screen (over raw bytes, and
+// over a dense alphabet of the patterns' bytes), against Aho–Corasick.
+// `go test` runs the seed corpus; `go test -fuzz FuzzMatchOracle` explores
+// further.
 func FuzzMatchOracle(f *testing.F) {
 	f.Add([]byte("he\xfeshe\xfehis\xfehers\xffushers"))
 	f.Add([]byte("a\xfeaa\xfeaaa\xffaaaaaaa"))
@@ -63,10 +65,25 @@ func FuzzMatchOracle(f *testing.F) {
 		}
 		want := ac.LongestMatchStarting(workload.FromBytes(text))
 
+		// The patterns' own bytes as a dense alphabet: text bytes outside it
+		// stay in the text, encode to −1 and never match.
+		var sigma []byte
+		var inSigma [256]bool
+		for _, p := range pats {
+			for _, b := range p {
+				if !inSigma[b] {
+					inSigma[b] = true
+					sigma = append(sigma, b)
+				}
+			}
+		}
 		engines := [][]Option{
 			{WithEngine(EngineGeneral)},
 			{WithEngine(EngineSmallAlphabet), WithCollapse(2)},
 			{WithEngine(EngineSmallAlphabet), WithBinaryExpansion(), WithCollapse(3)},
+			{WithEngine(EngineGeneral), WithPrefilter(PrefilterOn)},
+			{WithEngine(EngineGeneral), WithPrefilter(prefilterScalar)},
+			{WithEngine(EngineGeneral), WithPrefilter(PrefilterOn), WithAlphabet(sigma)},
 		}
 		if equalLen {
 			engines = append(engines, []Option{WithEngine(EngineEqualLength)})

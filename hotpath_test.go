@@ -245,6 +245,53 @@ func TestMatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFilteredMatchKeepsNoEncodeBuffer: a filtered matcher screens the raw
+// text and encodes only the windows its cascade scans, so a warmed MatchInto
+// over 1 MiB of sparse-hit text holds no text-length encode buffer and
+// allocates nothing, while the unfiltered matcher keeps its whole-text
+// encoding in the Matches.
+func TestFilteredMatchKeepsNoEncodeBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime defeats sync.Pool caching and allocates on its own; alloc counts are meaningless under -race")
+	}
+	rng := rand.New(rand.NewSource(37))
+	var patterns [][]byte
+	for i := 0; i < 64; i++ {
+		p := make([]byte, 6+rng.Intn(10))
+		rng.Read(p)
+		patterns = append(patterns, p)
+	}
+	text := randTextWithPlants(rng, patterns, 1<<20, 200)
+	for _, tc := range []struct {
+		name    string
+		mode    PrefilterMode
+		encoded bool
+	}{
+		{"unfiltered", PrefilterOff, true},
+		{"filtered", PrefilterOn, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMatcher(patterns, WithEngine(EngineGeneral), WithPrefilter(tc.mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dst *Matches
+			for i := 0; i < 3; i++ {
+				dst = m.MatchInto(dst, text)
+			}
+			if got := cap(dst.enc) >= len(text); got != tc.encoded {
+				t.Fatalf("warmed Matches holds a %d-symbol encode buffer over a %d-byte text", cap(dst.enc), len(text))
+			}
+			if !tc.encoded {
+				if avg := testing.AllocsPerRun(5, func() { dst = m.MatchInto(dst, text) }); avg != 0 {
+					t.Fatalf("warmed filtered MatchInto on 1 MiB allocates %.1f times per op; want 0", avg)
+				}
+			}
+			dst.Release()
+		})
+	}
+}
+
 // BenchmarkHotPathMatch measures the steady-state MatchInto path (the E15
 // experiment in cmd/benchtab sweeps this space more finely).
 func BenchmarkHotPathMatch(b *testing.B) {

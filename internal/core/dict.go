@@ -39,6 +39,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"pardict/internal/alpha"
 	"pardict/internal/naming"
 	"pardict/internal/pram"
 	"pardict/internal/prefilter"
@@ -80,6 +81,9 @@ type Dict struct {
 	// filter, when non-nil, screens text positions before the cascade (see
 	// EnablePrefilter). Execution-layer only: never part of Work/Depth.
 	filter *prefilter.Filter
+	// enc maps the raw text of MatchBytesInto to symbols; the filter's byte
+	// tables are composed with it.
+	enc *alpha.Encoder
 	// filterWide selects the wide-lane (8 positions/step, folded 8-bit
 	// bucket) kernel over the scalar SWAR screen. The two screens admit
 	// different survivors (neither set contains the other), but both are
@@ -93,29 +97,33 @@ type Dict struct {
 }
 
 // EnablePrefilter builds and installs the bit-parallel rare-byte prefilter
-// for subsequent Match/MatchInto calls. Filtered matches report no-match at
-// screened positions, which is exact for Pat (the filter admits every true
-// pattern start), and return Len/Name empty; MatchLongestPrefix is never
-// filtered. Call before sharing the Dict across goroutines.
-func (d *Dict) EnablePrefilter() {
-	d.filter = prefilter.Build(d.patterns)
+// for subsequent MatchBytesInto calls over raw text that enc encodes (the
+// encoder the patterns were encoded with). Filtered matches report no-match
+// at screened positions, which is exact for Pat (the filter admits every
+// true pattern start), and return Len/Name empty; Match, MatchInto and
+// MatchLongestPrefix are never filtered. Call before sharing the Dict
+// across goroutines.
+func (d *Dict) EnablePrefilter(enc *alpha.Encoder) {
+	d.filter = prefilter.BuildFor(d.patterns, enc)
+	d.enc = enc
 	d.filterWide = false
 }
 
 // EnablePrefilterWide is EnablePrefilter selecting the wide-lane kernel:
 // eight text positions screened per step against folded 8-bit bucket masks
-// (prefilter.ScanWordsWide). Output and Work/Depth are identical to the
+// (prefilter.ScanBytesWide). Output and Work/Depth are identical to the
 // scalar filter — both screens are one-sided, passing every true pattern
 // start, and the cascade rejects every false positive either lets through —
 // only wall clock changes.
-func (d *Dict) EnablePrefilterWide() {
-	d.filter = prefilter.Build(d.patterns)
+func (d *Dict) EnablePrefilterWide(enc *alpha.Encoder) {
+	d.EnablePrefilter(enc)
 	d.filterWide = d.filter != nil
 }
 
 // DisablePrefilter removes an installed prefilter.
 func (d *Dict) DisablePrefilter() {
 	d.filter = nil
+	d.enc = nil
 	d.filterWide = false
 }
 

@@ -190,10 +190,8 @@ func (ms *matchState) unwind(c *pram.Ctx) {
 
 // Match finds, for every text position, the longest dictionary prefix and
 // the longest pattern beginning there (Theorem 1/3 text processing:
-// O(n·log m) work, O(log m) depth on the instrumented counters). With a
-// prefilter enabled (see EnablePrefilter) Pat is exact and Len and Name come
-// back empty (see matchScreened), which is why the public API withholds
-// prefix lengths on filtered matchers.
+// O(n·log m) work, O(log m) depth on the instrumented counters). It never
+// consults the prefilter; MatchBytesInto is the filtered match.
 func (d *Dict) Match(c *pram.Ctx, text []int32) *Result {
 	r := &Result{}
 	d.MatchInto(c, text, r)
@@ -204,11 +202,22 @@ func (d *Dict) Match(c *pram.Ctx, text []int32) *Result {
 // suffices — together with the pooled internal scratch, the allocation-free
 // steady-state entry point.
 func (d *Dict) MatchInto(c *pram.Ctx, text []int32, r *Result) {
+	d.cascade(c, text, r, nil)
+}
+
+// MatchBytesInto is the filtered match over the raw text, which the encoder
+// given to EnablePrefilter or EnablePrefilterWide maps to symbols; call one
+// of them first. Pat is exact and Len and Name come back empty (see
+// matchScreened), which is why the public API withholds prefix lengths on
+// filtered matchers. Counted Work/Depth equal MatchInto's on the encoded
+// text.
+func (d *Dict) MatchBytesInto(c *pram.Ctx, text []byte, r *Result) {
 	if d.filter == nil || len(text) == 0 {
-		d.cascade(c, text, r, nil)
-		return
+		d.cascadeBytes(c, text, r, nil)
+	} else {
+		d.matchScreened(c, text, r)
 	}
-	d.matchScreened(c, text, r)
+	r.Len, r.Name = r.Len[:0], r.Name[:0]
 }
 
 // cascade runs the whole match over text into r: Fill(Name) with Len's
@@ -235,28 +244,65 @@ func (d *Dict) cascade(c *pram.Ctx, text []int32, r *Result, init func(lo, hi in
 	c.ForChunk(n, ms.finalFn)
 }
 
+// cascadeBytes is cascade over the raw text, encoded whole into a pooled
+// buffer that is released once the cascade is done.
+func (d *Dict) cascadeBytes(c *pram.Ctx, text []byte, r *Result, init func(lo, hi int)) {
+	sp := c.Trace().StartSpan("encode", int64(len(text)))
+	enc := d.enc.EncodeInto(pram.AcquireInt32(len(text)), text)
+	sp.End()
+	d.cascade(c, enc, r, init)
+	pram.ReleaseInt32(enc)
+}
+
 // filterState is the pooled scratch of a filtered match, its bodies bound
 // once like matchState's.
 type filterState struct {
-	d    *Dict
-	r    *Result
-	text []int32
-	cand []uint64 // survivor bits: bit j%64 of cand[j/64]
-	win  Windows
-	res  Result // the window pass's outputs over the window buffer
+	d     *Dict
+	r     *Result
+	text  []byte
+	cand  []uint64 // survivor bits: bit j%64 of cand[j/64]
+	grain int      // words per chunk of the screen phase
+	parts []screenPart
+	win   Windows
+	res   Result // the window pass's outputs over the window buffer
 
-	screenFn, parkFn, fillFn func(lo, hi int)
-	passFn                   func(c *pram.Ctx, buf []int32) (pat, plen []int32)
+	screenFn, parkFn func(lo, hi int)
+	passFn           func(c *pram.Ctx, buf []byte) (pat, plen []int32)
+}
+
+// screenPart is what one chunk of the screen phase found: its survivor
+// runs, merged as Windows.Keep merges them, and their position count.
+type screenPart struct {
+	win   Windows
+	alive int
 }
 
 var fsPool = sync.Pool{New: func() any {
 	fs := &filterState{}
 	fs.screenFn = func(wlo, whi int) {
+		f, text, cand := fs.d.filter, fs.text, fs.cand
 		if fs.d.filterWide {
-			fs.d.filter.ScanWordsWide(fs.text, fs.cand, wlo, whi)
+			f.ScanBytesWide(text, cand, wlo, whi)
 		} else {
-			fs.d.filter.ScanWords(fs.text, fs.cand, wlo, whi)
+			f.ScanBytes(text, cand, wlo, whi)
 		}
+		fillNone(fs.r.Pat[wlo<<6 : min(whi<<6, len(text))])
+		p := &fs.parts[wlo/fs.grain]
+		alive := 0
+		for w := wlo; w < whi; w++ {
+			word := cand[w]
+			for j := w << 6; word != 0; {
+				z := bits.TrailingZeros64(word)
+				word >>= uint(z)
+				k := bits.TrailingZeros64(^word) // the run of survivors at j+z
+				j += z
+				p.win.Keep(j, j+k)
+				alive += k
+				word >>= uint(k)
+				j += k
+			}
+		}
+		p.alive = alive
 	}
 	fs.parkFn = func(lo, hi int) {
 		r, cand, n := fs.r, fs.cand, len(fs.text)
@@ -268,61 +314,68 @@ var fsPool = sync.Pool{New: func() any {
 			}
 		}
 	}
-	fs.fillFn = func(lo, hi int) { fillNone(fs.r.Pat[lo:hi]) }
-	fs.passFn = func(c *pram.Ctx, buf []int32) ([]int32, []int32) {
-		fs.d.cascade(c, buf, &fs.res, nil)
+	fs.passFn = func(c *pram.Ctx, buf []byte) ([]int32, []int32) {
+		fs.d.cascadeBytes(c, buf, &fs.res, nil)
 		return fs.res.Pat, nil
 	}
 	return fs
 }}
 
-// matchScreened is the filtered match: the prefilter screen, then one cascade
-// over the survivors' windows (see Windows). Positions outside every window
-// get no match and no cascade work, exact because the screen is one-sided.
-// When the windows would cover more than half the text, copying them costs
-// more than it saves, so the cascade runs over the whole text in place with
-// every screened position parked at the text end, where no unwind level
-// probes a table for it (past 2^31 positions the parked Len would overflow).
-// Counted Work/Depth equal the unfiltered match's (2L+2)·n at depth 2L+2:
-// the in-place cascade charges that, and the window path tops up the window
-// pass's (2L+2)·w. The screen and the −1 fill of Pat are uncounted.
-func (d *Dict) matchScreened(c *pram.Ctx, text []int32, r *Result) {
+// matchScreened is the filtered match. One pooled phase, traced as
+// "prefilter", screens the raw text, fills Pat with −1 and lists each
+// chunk's survivor runs; a short serial pass merges the chunks' lists into
+// the windows. Then one cascade runs over the survivors' windows (see
+// Windows), cut from the raw text and encoded alone. Positions outside every
+// window get no match and no cascade work, exact because the screen is
+// one-sided. When the windows would cover more than half the text, copying
+// them costs more than it saves, so the cascade runs over the whole text,
+// encoded into a pooled buffer, with every screened position parked at the
+// text end, where no unwind level probes a table for it (past 2^31
+// positions the parked Len would overflow). Counted Work/Depth equal the
+// unfiltered match's (2L+2)·n at depth 2L+2: the whole-text cascade charges
+// that, and the window path tops up the window pass's (2L+2)·w. The screen
+// and the −1 fill of Pat are uncounted.
+func (d *Dict) matchScreened(c *pram.Ctx, text []byte, r *Result) {
 	n := len(text)
+	nw := (n + 63) >> 6
 	fs := fsPool.Get().(*filterState)
 	fs.d, fs.r, fs.text = d, r, text
-	fs.cand = pram.AcquireUint64((n + 63) >> 6)
+	fs.cand = pram.AcquireUint64(nw)
 	defer fs.release()
-	c.ForChunkUncounted("prefilter", len(fs.cand), fs.screenFn)
+	r.Pat = pram.ResizeInt32(r.Pat, n)
+	var chunks int
+	fs.grain, chunks = c.Chunks(nw)
+	if cap(fs.parts) < chunks {
+		fs.parts = make([]screenPart, chunks)
+	}
+	fs.parts = fs.parts[:chunks]
+	for i := range fs.parts {
+		fs.parts[i].win.Reset(d.maxLen)
+		fs.parts[i].alive = 0
+	}
+	c.ForChunkUncounted("prefilter", nw, fs.screenFn)
 
 	fs.win.Reset(d.maxLen)
 	alive := 0
-	for w, word := range fs.cand {
-		for j := w << 6; word != 0; {
-			z := bits.TrailingZeros64(word)
-			word >>= uint(z)
-			k := bits.TrailingZeros64(^word) // the run of survivors at j+z
-			j += z
-			fs.win.Keep(j, j+k)
-			alive += k
-			word >>= uint(k)
-			j += k
+	for i := range fs.parts {
+		p := &fs.parts[i]
+		for k := 0; k < len(p.win.runs); k += 2 {
+			fs.win.Keep(p.win.runs[k], p.win.runs[k+1])
 		}
+		alive += p.alive
 	}
 	c.NotePrefilter(int64(n), int64(n-alive))
 
 	if w := fs.win.Scanned(n); 2*w > n && n <= math.MaxInt32 {
-		d.cascade(c, text, r, fs.parkFn)
+		d.cascadeBytes(c, text, r, fs.parkFn)
 	} else {
 		phases := int64(2*d.levels + 2)
 		c.AddWork(phases * int64(n-w))
 		if w == 0 {
 			c.AddDepth(phases)
 		}
-		r.Pat = pram.ResizeInt32(r.Pat, n)
-		c.ForChunkUncounted("phase", n, fs.fillFn)
 		fs.win.Scan(c, text, fs.passFn, r.Pat, nil)
 	}
-	r.Len, r.Name = r.Len[:0], r.Name[:0]
 }
 
 func (fs *filterState) release() {

@@ -12,6 +12,8 @@ import "pardict/internal/pram"
 // clipped at the text end is the last one. Lookahead positions see the next
 // window's symbols and are not copied back. One pass, not one per window:
 // per-window phase dispatch would cost more than the skipped positions.
+// Both callers hold the raw text: the windows are cut from its bytes and
+// the pass encodes only them.
 type Windows struct {
 	w    int
 	runs []int // merged kept ranges as pairs a, b, in increasing order
@@ -57,16 +59,16 @@ func (ws *Windows) Scanned(n int) (s int) {
 // end is the scan end of the window whose range starts at runs[i].
 func (ws *Windows) end(i, n int) int { return min(ws.runs[i+1]+ws.w-1, n) }
 
-// Scan copies every window of text into one pooled buffer, runs pass over it
-// and copies each kept range's outputs back into pat and, when non-nil,
-// plen; other positions are left untouched. Nothing runs once c is
+// Scan cuts every window of the raw text into one pooled buffer, runs pass
+// over it and copies each kept range's outputs back into pat and, when
+// non-nil, plen; other positions are left untouched. Nothing runs once c is
 // canceled, and a pass canceled midway copies nothing back.
-func (ws *Windows) Scan(c *pram.Ctx, text []int32, pass func(c *pram.Ctx, buf []int32) (pat, plen []int32), pat, plen []int32) {
+func (ws *Windows) Scan(c *pram.Ctx, text []byte, pass func(c *pram.Ctx, buf []byte) (pat, plen []int32), pat, plen []int32) {
 	n := len(text)
 	if len(ws.runs) == 0 || c.Canceled() {
 		return
 	}
-	buf := pram.AcquireInt32(ws.Scanned(n))
+	buf := pram.AcquireBytes(ws.Scanned(n))
 	off := 0
 	for i := 0; i < len(ws.runs); i += 2 {
 		off += copy(buf[off:], text[ws.runs[i]:ws.end(i, n)])
@@ -83,5 +85,5 @@ func (ws *Windows) Scan(c *pram.Ctx, text []int32, pass func(c *pram.Ctx, buf []
 			off += ws.end(i, n) - a
 		}
 	}
-	pram.ReleaseInt32(buf)
+	pram.ReleaseBytes(buf)
 }

@@ -4,11 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"pardict/internal/alpha"
 	"pardict/internal/pram"
 )
 
-// TestWindowsScanEqualsFullScan: Windows.Scan gives every kept position the
-// pattern and prefix length a direct full-text scan gives it, and writes
+// TestWindowsScanEqualsFullScan: Windows.Scan, cutting windows of the raw
+// text for a pass that encodes them, gives every kept position the pattern
+// and prefix length a direct full-text scan of the encoded text gives it,
+// and writes
 // nothing outside the windows' kept ranges except those same exact values
 // (merged gaps). The named cases pin the window boundaries — ranges touching
 // the text end, gaps of exactly 2W (merged) and 2W+1 (split), W = 1 over a
@@ -50,8 +53,12 @@ func TestWindowsScanEqualsFullScan(t *testing.T) {
 		for j := range pat {
 			pat[j], plen[j] = untouched, untouched
 		}
-		ws.Scan(c, text, func(c *pram.Ctx, buf []int32) ([]int32, []int32) {
-			r := d.Match(c, buf)
+		raw := make([]byte, len(text))
+		for j, s := range text {
+			raw[j] = byte(s)
+		}
+		ws.Scan(c, raw, func(c *pram.Ctx, buf []byte) ([]int32, []int32) {
+			r := d.Match(c, alpha.NewByteEncoder().Encode(buf))
 			return r.Pat, r.Len
 		}, pat, plen)
 		inRange := make([]bool, len(text))

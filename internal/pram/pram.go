@@ -247,6 +247,14 @@ func (c *Ctx) ForChunkUncounted(name string, n int, body func(lo, hi int)) {
 	c.forChunks(name, n, c.pool.grainFor(n), body)
 }
 
+// Chunks reports how a phase over n elements is cut: chunk i covers
+// [i·grain, min((i+1)·grain, n)), so a body can index per-chunk partials by
+// lo/grain. A phase over n ≤ grain elements is the one chunk [0, n).
+func (c *Ctx) Chunks(n int) (grain, chunks int) {
+	grain = c.pool.grainFor(n)
+	return grain, (n + grain - 1) / grain
+}
+
 // forChunks runs body over [0, n) in chunks of grain as one phase traced as
 // name: inline when one chunk covers it or the pool has one participant,
 // on the pool otherwise.
@@ -378,8 +386,7 @@ func (c *Ctx) ExclusiveScan(xs []int64) int64 {
 		}
 		return sum
 	}
-	grain := c.pool.grainFor(n)
-	chunks := (n + grain - 1) / grain
+	grain, chunks := c.Chunks(n)
 	sums := make([]int64, chunks)
 	c.ForChunk(n, func(lo, hi int) {
 		var s int64

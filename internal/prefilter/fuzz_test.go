@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pardict/internal/alpha"
 	"pardict/internal/core"
 	"pardict/internal/pram"
 	"pardict/internal/prefilter"
@@ -28,6 +29,12 @@ const fuzzWindow = 8 // mirrors prefilter.window for the tail-word predicate
 //  4. cascade equivalence — the general engine's longest-pattern output and
 //     counted Work and Depth are identical with the prefilter off, scalar, and
 //     wide (the execution-layer contract).
+//
+// Steps 1–3 run the int32 kernels at every σ. For σ ≤ 256 the text is also
+// a byte string: the byte kernels must give the int32 kernels' words, and
+// the filtered arms of step 4 run through the byte entry
+// (core.Dict.MatchBytesInto), the shipped path. At σ = 4096 no byte text
+// exists, so step 4 does not run.
 //
 // The checked-in corpus pins the filtered match's window boundaries: a
 // survivor in the last W−1 positions (window-tail), two survivors exactly 2W
@@ -90,6 +97,23 @@ func FuzzPrefilterWide(f *testing.F) {
 				t.Fatalf("stray wide candidate bit at %d past text end", j)
 			}
 		}
+		if sigma > 256 {
+			return
+		}
+		raw := make([]byte, len(text))
+		for i, s := range text {
+			raw[i] = byte(s)
+		}
+		wideBytes := make([]uint64, nw)
+		scalarBytes := make([]uint64, nw)
+		filt.ScanBytesWide(raw, wideBytes, 0, nw)
+		filt.ScanBytes(raw, scalarBytes, 0, nw)
+		for w := 0; w < nw; w++ {
+			if wideBytes[w] != wide[w] || scalarBytes[w] != scalar[w] {
+				t.Fatalf("word %d: byte kernels %#x, %#x != int32 kernels %#x, %#x",
+					w, wideBytes[w], scalarBytes[w], wide[w], scalar[w])
+			}
+		}
 
 		// (4) the three cascades agree on output and counted cost.
 		c := pram.New(1)
@@ -104,17 +128,18 @@ func FuzzPrefilterWide(f *testing.F) {
 		}
 		arms := []armOut{{name: "off"}, {name: "scalar"}, {name: "wide"}}
 		for i := range arms {
-			switch arms[i].name {
-			case "off":
-				d.DisablePrefilter()
-			case "scalar":
-				d.EnablePrefilter()
-			case "wide":
-				d.EnablePrefilterWide()
-			}
 			c.ResetStats()
 			r := &core.Result{}
-			d.MatchInto(c, text, r)
+			switch arms[i].name {
+			case "off":
+				d.MatchInto(c, text, r)
+			case "scalar":
+				d.EnablePrefilter(alpha.NewByteEncoder())
+				d.MatchBytesInto(c, raw, r)
+			case "wide":
+				d.EnablePrefilterWide(alpha.NewByteEncoder())
+				d.MatchBytesInto(c, raw, r)
+			}
 			arms[i].pat = append([]int32(nil), r.Pat...)
 			arms[i].work, arms[i].depth = c.Work(), c.Depth()
 			r.Release()

@@ -20,12 +20,24 @@
 // inside the pattern, with equality of folded symbols, and out-of-bounds
 // offsets only kill buckets whose patterns would overrun the text.
 //
+// The tables are built twice over. The folded tables above serve texts of
+// encoded symbols (ScanWords, ScanWordsWide). The byte tables compose the
+// text encoder into them at build time: entry [o][b] is the folded entry for
+// the symbol byte b encodes to, folded like any symbol (a byte outside a
+// dense alphabet encodes to −1 and reads entry 255). So ScanBytes and
+// ScanBytesWide screen the raw text, before anything is encoded, and pass
+// exactly the positions ScanWords and ScanWordsWide pass on the encoded text.
+//
 // The prefilter is an execution-layer optimization: it performs no counted
 // PRAM work (see pram.ForChunkUncounted) and never changes the Work/Depth
 // accounting of a match.
 package prefilter
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"pardict/internal/alpha"
+)
 
 // window is the prefix length (in symbols) the filter may constrain.
 const window = 8
@@ -51,12 +63,24 @@ type Filter struct {
 	// argument.
 	wideTab  [wideWindow][256]uint8
 	wideWild [wideWindow]uint8
+
+	// Byte tables: tab and wideTab composed with the text encoder, indexed
+	// by raw text byte (see the package comment).
+	byteTab     [window][256]uint64
+	byteWideTab [wideWindow][256]uint8
 }
 
-// Build constructs the filter for the encoded patterns. It returns nil when
-// the pattern set is empty (nothing can match; callers treat a nil filter as
-// "no filtering").
+// Build is BuildFor with the byte encoder: the byte screens read each text
+// byte as its own symbol.
 func Build(patterns [][]int32) *Filter {
+	return BuildFor(patterns, alpha.NewByteEncoder())
+}
+
+// BuildFor constructs the filter for patterns encoded by enc, its byte
+// screens reading the raw text enc encodes. It returns nil when the pattern
+// set is empty (nothing can match; callers treat a nil filter as "no
+// filtering").
+func BuildFor(patterns [][]int32, enc *alpha.Encoder) *Filter {
 	if len(patterns) == 0 {
 		return nil
 	}
@@ -140,6 +164,19 @@ func Build(patterns [][]int32) *Filter {
 		f.constrained = append(f.constrained, s.o)
 	}
 	f.buildWide(patterns)
+
+	var raw [256]byte
+	for b := range raw {
+		raw[b] = byte(b)
+	}
+	for b, s := range enc.Encode(raw[:]) {
+		for o := range f.tab {
+			f.byteTab[o][b] = f.tab[o][uint8(s)]
+		}
+		for o := range f.wideTab {
+			f.byteWideTab[o][b] = f.wideTab[o][uint8(s)]
+		}
+	}
 	return f
 }
 
@@ -147,10 +184,26 @@ func Build(patterns [][]int32) *Filter {
 func (f *Filter) Buckets() int { return f.nbuckets }
 
 // ScanWords computes candidate bits for the 64-position words [wlo, whi) of
-// the text: bit j%64 of out[j/64] is set iff position j survives the filter.
-// Each word is computed and stored whole, so disjoint word ranges may be
-// filled concurrently. out must hold at least whi words.
+// the encoded text: bit j%64 of out[j/64] is set iff position j survives the
+// filter. Each word is computed and stored whole, so disjoint word ranges may
+// be filled concurrently. out must hold at least whi words.
 func (f *Filter) ScanWords(text []int32, out []uint64, wlo, whi int) {
+	scan(f, &f.tab, text, out, wlo, whi)
+}
+
+// ScanBytes is ScanWords over the raw text, through the byte tables: its
+// bits equal ScanWords' on the encoded text.
+func (f *Filter) ScanBytes(text []byte, out []uint64, wlo, whi int) {
+	scan(f, &f.byteTab, text, out, wlo, whi)
+}
+
+// symbol is an element of a screened text: a raw byte, or an encoded symbol
+// that the conversion to uint8 folds to its low byte.
+type symbol interface{ ~uint8 | ~int32 }
+
+// scan is the scalar screen over the words [wlo, whi) of text, reading tab:
+// the folded tables for symbols, the byte tables for raw bytes.
+func scan[T symbol](f *Filter, tab *[window][256]uint64, text []T, out []uint64, wlo, whi int) {
 	n := len(text)
 	nc := len(f.constrained)
 	if nc == 0 {
@@ -166,7 +219,7 @@ func (f *Filter) ScanWords(text []int32, out []uint64, wlo, whi int) {
 	var rows [window]*[256]uint64
 	for i, o := range f.constrained {
 		offs[i] = o
-		rows[i] = &f.tab[o]
+		rows[i] = &tab[o]
 	}
 	for w := wlo; w < whi; w++ {
 		var word uint64
@@ -176,9 +229,9 @@ func (f *Filter) ScanWords(text []int32, out []uint64, wlo, whi int) {
 			// Interior word: every j+o is in bounds, so the per-offset
 			// boundary branch drops out of the hot loop.
 			for j := base; j < end; j++ {
-				v := rows[0][byte(text[j+offs[0]]&255)]
+				v := rows[0][uint8(text[j+offs[0]])]
 				for i := 1; v != 0 && i < nc; i++ {
-					v &= rows[i][byte(text[j+offs[i]]&255)]
+					v &= rows[i][uint8(text[j+offs[i]])]
 				}
 				if v != 0 {
 					word |= 1 << uint(j-base)
@@ -192,7 +245,7 @@ func (f *Filter) ScanWords(text []int32, out []uint64, wlo, whi int) {
 				v := ^uint64(0)
 				for i := 0; v != 0 && i < nc; i++ {
 					if o := offs[i]; j+o < n {
-						v &= rows[i][byte(text[j+o]&255)]
+						v &= rows[i][uint8(text[j+o])]
 					} else {
 						v &= f.wild[o]
 					}

@@ -1,8 +1,10 @@
 package prefilter
 
+import "encoding/binary"
+
 // Wide-lane (Teddy-proper) variant of the prefilter: instead of testing one
-// text position per step against the 64-bit offset-pair bucket masks,
-// ScanWordsWide tests eight positions per step against an independent 8-bucket
+// text position per step against the 64-bit offset-pair bucket masks, the
+// wide screen tests eight positions per step against an independent 8-bucket
 // screen over the first wideWindow pattern symbols, with the per-offset bucket
 // masks packed into the byte lanes of a single uint64.
 //
@@ -54,7 +56,16 @@ package prefilter
 // on. Words touching the text tail are delegated to the scalar per-position
 // screen, so boundary handling lives in one place.
 //
-// The kernel is pure portable Go (SWAR on uint64 lanes); an amd64 assembly
+// # Byte kernel
+//
+// Both kernels screen a word through wideWord, which reads a group's ten
+// bytes with two little-endian loads. ScanBytesWide, the production kernel,
+// hands it the raw text through the byte tables (the encoder composed in,
+// see the package comment), so no symbol array is read or written;
+// ScanWordsWide folds each word's symbols to bytes first and reads the
+// folded tables. It is the byte kernel's test oracle.
+//
+// The kernels are pure portable Go (SWAR on uint64 lanes); an amd64 assembly
 // path (PSHUFB nibble lookups as in Hyperscan's Teddy) can slot in behind
 // the same word-level contract and the same oracle without touching callers.
 
@@ -123,97 +134,83 @@ func moveMask8(acc uint64) uint64 {
 // is set iff position j survives the wide screen. It fills whole words, so
 // disjoint word ranges may be computed concurrently. Words touching the text
 // tail fall back to the scalar per-position screen (their bits equal the
-// scalar filter's — sound, and exact at the boundary).
+// scalar filter's — sound, and exact at the boundary). Each interior word's
+// symbols are folded to bytes once and screened like raw text.
 func (f *Filter) ScanWordsWide(text []int32, out []uint64, wlo, whi int) {
 	n := len(text)
-	t0, t1, t2 := &f.wideTab[0], &f.wideTab[1], &f.wideTab[2]
 	for w := wlo; w < whi; w++ {
 		base := w << 6
 		if base+64+window > n {
-			// Tail word: delegate to the scalar screen (bounds-checked wild
-			// handling, bits past the text cleared).
-			f.scanWordScalar(text, out, w, w+1)
+			scan(f, &f.tab, text, out, w, w+1)
 			continue
 		}
-		var word uint64
-		for g := 0; g < 64; g += 8 {
-			j := base + g
-			// Fold the group's reachable text window (positions j..j+7 at
-			// offsets 0..wideWindow-1 read text[j .. j+8+wideWindow-2]) to
-			// bytes in a fixed-size local once, so the lane gathers below
-			// index registers/L1 with no bounds checks and the int32→byte
-			// fold is paid once, not once per offset.
-			var win [8 + wideWindow - 1]uint8
-			seg := text[j : j+8+wideWindow-1 : j+8+wideWindow-1]
-			for t := range win {
-				win[t] = uint8(seg[t])
-			}
-			acc := uint64(t0[win[0]]) |
-				uint64(t0[win[1]])<<8 |
-				uint64(t0[win[2]])<<16 |
-				uint64(t0[win[3]])<<24 |
-				uint64(t0[win[4]])<<32 |
-				uint64(t0[win[5]])<<40 |
-				uint64(t0[win[6]])<<48 |
-				uint64(t0[win[7]])<<56
-			if acc == 0 {
-				continue
-			}
-			acc &= uint64(t1[win[1]]) |
-				uint64(t1[win[2]])<<8 |
-				uint64(t1[win[3]])<<16 |
-				uint64(t1[win[4]])<<24 |
-				uint64(t1[win[5]])<<32 |
-				uint64(t1[win[6]])<<40 |
-				uint64(t1[win[7]])<<48 |
-				uint64(t1[win[8]])<<56
-			if acc == 0 {
-				continue
-			}
-			acc &= uint64(t2[win[2]]) |
-				uint64(t2[win[3]])<<8 |
-				uint64(t2[win[4]])<<16 |
-				uint64(t2[win[5]])<<24 |
-				uint64(t2[win[6]])<<32 |
-				uint64(t2[win[7]])<<40 |
-				uint64(t2[win[8]])<<48 |
-				uint64(t2[win[9]])<<56
-			if acc != 0 {
-				word |= moveMask8(acc) << uint(g)
-			}
+		var seg [64 + window]byte
+		for t, s := range text[base : base+64+window] {
+			seg[t] = uint8(s)
 		}
-		out[w] = word
+		out[w] = wideWord(&f.wideTab, &seg)
 	}
 }
 
-// scanWordScalar runs the scalar per-position screen over the words
-// [wlo, whi) — the shared tail path of ScanWordsWide. It is ScanWords
-// restricted to the general (bounds-checked) branch.
-func (f *Filter) scanWordScalar(text []int32, out []uint64, wlo, whi int) {
+// ScanBytesWide is ScanWordsWide over the raw text, through the byte
+// tables: its bits equal ScanWordsWide's on the encoded text. Tail words
+// fall back to ScanBytes.
+func (f *Filter) ScanBytesWide(text []byte, out []uint64, wlo, whi int) {
 	n := len(text)
-	nc := len(f.constrained)
 	for w := wlo; w < whi; w++ {
-		var word uint64
 		base := w << 6
-		end := base + 64
-		if end > n {
-			end = n
+		if base+64+window > n {
+			scan(f, &f.byteTab, text, out, w, w+1)
+			continue
 		}
-		for j := base; j < end; j++ {
-			v := ^uint64(0)
-			for i := 0; v != 0 && i < nc; i++ {
-				if o := f.constrained[i]; j+o < n {
-					v &= f.tab[o][byte(text[j+o]&255)]
-				} else {
-					v &= f.wild[o]
-				}
-			}
-			if v != 0 {
-				word |= 1 << uint(j-base)
-			}
-		}
-		out[w] = word
+		out[w] = wideWord(&f.byteWideTab, (*[64 + window]byte)(text[base:]))
 	}
+}
+
+// wideWord screens the 64 positions of one interior word, seg holding the
+// word's bytes and the window bytes past it. Each group of eight positions
+// j..j+7 reads bytes j..j+9 at offsets 0..wideWindow-1 with two
+// little-endian loads: lo holds j..j+7, hi holds j+8 and j+9.
+func wideWord(tab *[wideWindow][256]uint8, seg *[64 + window]byte) (word uint64) {
+	t0, t1, t2 := &tab[0], &tab[1], &tab[2]
+	for g := 0; g < 64; g += 8 {
+		lo := binary.LittleEndian.Uint64(seg[g:])
+		acc := uint64(t0[uint8(lo)]) |
+			uint64(t0[uint8(lo>>8)])<<8 |
+			uint64(t0[uint8(lo>>16)])<<16 |
+			uint64(t0[uint8(lo>>24)])<<24 |
+			uint64(t0[uint8(lo>>32)])<<32 |
+			uint64(t0[uint8(lo>>40)])<<40 |
+			uint64(t0[uint8(lo>>48)])<<48 |
+			uint64(t0[uint8(lo>>56)])<<56
+		if acc == 0 {
+			continue
+		}
+		hi := binary.LittleEndian.Uint16(seg[g+8:])
+		acc &= uint64(t1[uint8(lo>>8)]) |
+			uint64(t1[uint8(lo>>16)])<<8 |
+			uint64(t1[uint8(lo>>24)])<<16 |
+			uint64(t1[uint8(lo>>32)])<<24 |
+			uint64(t1[uint8(lo>>40)])<<32 |
+			uint64(t1[uint8(lo>>48)])<<40 |
+			uint64(t1[uint8(lo>>56)])<<48 |
+			uint64(t1[uint8(hi)])<<56
+		if acc == 0 {
+			continue
+		}
+		acc &= uint64(t2[uint8(lo>>16)]) |
+			uint64(t2[uint8(lo>>24)])<<8 |
+			uint64(t2[uint8(lo>>32)])<<16 |
+			uint64(t2[uint8(lo>>40)])<<24 |
+			uint64(t2[uint8(lo>>48)])<<32 |
+			uint64(t2[uint8(lo>>56)])<<40 |
+			uint64(t2[uint8(hi)])<<48 |
+			uint64(t2[uint8(hi>>8)])<<56
+		if acc != 0 {
+			word |= moveMask8(acc) << uint(g)
+		}
+	}
+	return word
 }
 
 // EstimatedPassRateWide is EstimatedPassRate for the wide screen's bucket

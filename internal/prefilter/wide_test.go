@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"pardict/internal/alpha"
 )
 
 func scanAllWide(f *Filter, text []int32) []uint64 {
@@ -31,6 +33,11 @@ func wideReference(f *Filter, text []int32, j int) bool {
 	return v != 0
 }
 
+// boundaryLengths straddle every word-boundary/window-tail combination of
+// the interior/tail split.
+var boundaryLengths = []int{0, 1, 2, 63, 64, 65, 71, 72, 127, 128, 129,
+	64 - window, 64 + window, 128 - window + 1, 192, 200, 256}
+
 // TestScanWordsWideBoundarySplit pins the lane kernel against the direct
 // per-position predicate on interior words, and against the scalar screen on
 // tail words (the documented delegation), for text lengths straddling every
@@ -47,8 +54,7 @@ func TestScanWordsWideBoundarySplit(t *testing.T) {
 	}
 	f := Build(patterns)
 
-	for _, n := range []int{0, 1, 2, 63, 64, 65, 71, 72, 127, 128, 129,
-		64 - window, 64 + window, 128 - window + 1, 192, 200, 256} {
+	for _, n := range boundaryLengths {
 		text := make([]int32, n)
 		for j := range text {
 			text[j] = int32(rng.Intn(256))
@@ -73,6 +79,78 @@ func TestScanWordsWideBoundarySplit(t *testing.T) {
 		for j := n; j < len(got)*64; j++ {
 			if candidate(got, j) {
 				t.Fatalf("n=%d: stray wide candidate bit at %d past end of text", n, j)
+			}
+		}
+	}
+}
+
+// TestByteScreensMatchEncoded: the byte screens read the raw text through
+// tables composed with the encoder, so their words must equal the int32
+// screens' words on the encoded text, interior and tail words alike. The
+// dense encoder covers 40 of the 256 byte values, so most text bytes lie
+// outside its alphabet and encode to −1.
+func TestByteScreensMatchEncoded(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	sigma := rng.Perm(256)[:40]
+	dense := make([]byte, len(sigma))
+	for i, b := range sigma {
+		dense[i] = byte(b)
+	}
+	denseEnc, err := alpha.NewDenseEncoder(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		enc   *alpha.Encoder
+		bytes []byte // the alphabet patterns are drawn from
+	}{
+		{"byte encoder", alpha.NewByteEncoder(), nil},
+		{"dense encoder", denseEnc, dense},
+	} {
+		var patterns [][]int32
+		for i := 0; i < 24; i++ {
+			p := make([]byte, 1+rng.Intn(12))
+			for k := range p {
+				if tc.bytes != nil {
+					p[k] = tc.bytes[rng.Intn(len(tc.bytes))]
+				} else {
+					p[k] = byte(rng.Intn(256))
+				}
+			}
+			enc, err := tc.enc.EncodePattern(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			patterns = append(patterns, enc)
+		}
+		f := BuildFor(patterns, tc.enc)
+		for _, n := range boundaryLengths {
+			raw := make([]byte, n)
+			for j := range raw {
+				if rng.Intn(2) == 0 && tc.bytes != nil {
+					raw[j] = tc.bytes[rng.Intn(len(tc.bytes))]
+				} else {
+					raw[j] = byte(rng.Intn(256))
+				}
+			}
+			syms := tc.enc.Encode(raw)
+			nw := max((n+63)/64, 1)
+			for _, k := range []struct {
+				name          string
+				bytes, symbol func(out []uint64)
+			}{
+				{"scalar", func(out []uint64) { f.ScanBytes(raw, out, 0, nw) }, func(out []uint64) { f.ScanWords(syms, out, 0, nw) }},
+				{"wide", func(out []uint64) { f.ScanBytesWide(raw, out, 0, nw) }, func(out []uint64) { f.ScanWordsWide(syms, out, 0, nw) }},
+			} {
+				got, want := make([]uint64, nw), make([]uint64, nw)
+				k.bytes(got)
+				k.symbol(want)
+				for w := range want {
+					if got[w] != want[w] {
+						t.Fatalf("%s, %s screen, n=%d word %d: bytes %#x, encoded %#x", tc.name, k.name, n, w, got[w], want[w])
+					}
+				}
 			}
 		}
 	}

@@ -46,9 +46,9 @@ func (m *Matcher) MatchCompressedContext(gctx context.Context, ct *CompressedTex
 // decodeBufs pools the decoded-text scratch of matchCompressedOn.
 var decodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// matchCompressedOn is the compressed-domain core: decode, encode once, scan
-// only the windows with the configured engine, then translate copy
-// interiors. Correctness rests on the window-local property (see
+// matchCompressedOn is the compressed-domain core: decode, scan only the
+// windows with the configured engine (encoding just those), then translate
+// copy interiors. Correctness rests on the window-local property (see
 // core.Windows): the answer at p depends on T[p : p+W) alone, W = MaxLen. A
 // position p strictly interior to a copy phrase [s, e) — meaning p ≤ e-W —
 // has its whole window inside the phrase, so T[p : p+W) equals T[q : q+W) at
@@ -60,15 +60,14 @@ func (m *Matcher) matchCompressedOn(ctx *pram.Ctx, out *Matches, t *lz.Text) {
 	n := t.Len()
 
 	// Decode (one counted linear phase: honest accounting of the only
-	// full-length pass the compressed tier keeps), then encode the symbols
-	// once — the windows are cut from this one encoding.
+	// full-length pass the compressed tier keeps); the windows are cut from
+	// the decoded bytes, and only they are encoded.
 	bufp := decodeBufs.Get().(*[]byte)
 	if cap(*bufp) < n {
 		*bufp = make([]byte, n)
 	}
 	text := (*bufp)[:n]
 	ctx.Phase(int64(n), func() { t.DecodeInto(text) })
-	out.enc = m.enc.EncodeInto(pram.ResizeInt32(out.enc, n), text)
 
 	// Result buffers live in out.res for every engine so Matches.Release
 	// returns them to the slab pools.
@@ -95,8 +94,8 @@ func (m *Matcher) matchCompressedOn(ctx *pram.Ctx, out *Matches, t *lz.Text) {
 		win.Keep(s, e)
 	}
 	seg := &core.Result{}
-	win.Scan(ctx, out.enc, func(c *pram.Ctx, buf []int32) ([]int32, []int32) {
-		return m.engineMatch(c, buf, seg)
+	win.Scan(ctx, text, func(c *pram.Ctx, buf []byte) ([]int32, []int32) {
+		return m.engineMatch(c, buf, &out.enc, seg)
 	}, out.pat, out.plen)
 	seg.Release()
 	if obs.Enabled() {

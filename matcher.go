@@ -166,9 +166,9 @@ func (m *Matcher) applyPrefilter() {
 		return
 	}
 	if m.cfg.prefilter == prefilterScalar {
-		m.general.EnablePrefilter()
+		m.general.EnablePrefilter(m.enc)
 	} else {
-		m.general.EnablePrefilterWide()
+		m.general.EnablePrefilterWide(m.enc)
 	}
 	if m.cfg.prefilter == PrefilterAuto {
 		if _, rate := m.general.Filtered(); rate > autoPrefilterRate {
@@ -262,7 +262,7 @@ type Matches struct {
 	res   *core.Result // general engine: owns the pat/plen storage
 	pat   []int32
 	plen  []int32 // longest dictionary-prefix length (general engine, unfiltered)
-	enc   []int32 // reusable text-encoding buffer (MatchInto steady state)
+	enc   []int32 // reusable text-encoding buffer of unfiltered matchers (MatchInto steady state)
 	stats Stats
 }
 
@@ -316,35 +316,39 @@ func (m *Matcher) SchedulerStats() SchedulerStats {
 // capacity suffices. The result is only meaningful if ctx was not canceled.
 func (m *Matcher) matchOn(ctx *pram.Ctx, out *Matches, text []byte) {
 	out.m = m
-	esp := ctx.Trace().StartSpan("encode", int64(len(text)))
-	out.enc = m.enc.EncodeInto(pram.ResizeInt32(out.enc, len(text)), text)
-	esp.End()
 	if out.res == nil {
 		out.res = &core.Result{}
 	}
-	out.pat, out.plen = m.engineMatch(ctx, out.enc, out.res)
+	out.pat, out.plen = m.engineMatch(ctx, text, &out.enc, out.res)
 	out.stats = statsOf(ctx)
 }
 
-// engineMatch runs the configured engine over enc, the general engine
+// engineMatch runs the configured engine over text, the general engine
 // writing into res. It returns the longest pattern per position, and the
 // longest prefix length per position on the unfiltered general engine (nil
-// elsewhere: a filtered match computes none).
-func (m *Matcher) engineMatch(ctx *pram.Ctx, enc []int32, res *core.Result) (pat, plen []int32) {
+// elsewhere: a filtered match computes none). A filtered matcher hands the
+// raw text to the general engine, which screens the bytes and encodes only
+// what its cascade scans; every other matcher encodes the whole text into
+// *enc first.
+func (m *Matcher) engineMatch(ctx *pram.Ctx, text []byte, enc *[]int32, res *core.Result) (pat, plen []int32) {
+	if m.filtered {
+		m.general.MatchBytesInto(ctx, text, res)
+		return res.Pat, nil
+	}
+	esp := ctx.Trace().StartSpan("encode", int64(len(text)))
+	*enc = m.enc.EncodeInto(pram.ResizeInt32(*enc, len(text)), text)
+	esp.End()
 	switch m.engine {
 	case EngineGeneral:
-		m.general.MatchInto(ctx, enc, res)
-		if m.filtered {
-			return res.Pat, nil
-		}
+		m.general.MatchInto(ctx, *enc, res)
 		return res.Pat, res.Len
 	case EngineSmallAlphabet:
 		if m.binary != nil {
-			return m.binary.Match(ctx, enc), nil
+			return m.binary.Match(ctx, *enc), nil
 		}
-		return m.small.Match(ctx, enc), nil
+		return m.small.Match(ctx, *enc), nil
 	default:
-		return m.equal.Match(ctx, enc), nil
+		return m.equal.Match(ctx, *enc), nil
 	}
 }
 

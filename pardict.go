@@ -76,6 +76,9 @@ func (e Engine) String() string {
 // PrefilterMode selects whether the general engine screens text positions
 // with the bit-parallel rare-byte prefilter before running the
 // shrink-and-spawn cascade (see DESIGN.md, "Memory layout & prefilter").
+// The screen reads the raw text bytes, through tables the alphabet encoder
+// is composed into when the matcher is built, and a filtered match encodes
+// only the windows its cascade then scans.
 //
 // The prefilter is an execution-layer optimization: match output
 // (Longest/All/FindAll/Count) and the counted Work/Depth Stats are identical
